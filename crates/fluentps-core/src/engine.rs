@@ -1,5 +1,7 @@
 //! Threaded in-process runtime: one thread per server shard, worker clients
-//! on the caller's threads.
+//! on the caller's threads. Each server thread runs the crate's one server
+//! loop (the `serve` module, which the TCP runtimes run too) over the
+//! in-process fabric, without its recovery part.
 //!
 //! Overlap synchronization (Section III-D) is not a special code path — it
 //! *falls out* of this architecture: every server answers pulls for its own
@@ -13,17 +15,17 @@ use std::net::SocketAddr;
 use std::thread::JoinHandle;
 
 use fluentps_obs::{
-    http, EventKind, HealthEngine, HealthTap, IntrospectionServer, MetricsRegistry, ProfCollector,
-    Profiler, RecordArgs, StreamConfig, TraceCollector, TraceSource, Tracer, NO_ID,
+    http, HealthEngine, HealthTap, IntrospectionServer, MetricsRegistry, ProfCollector,
+    StreamConfig, TraceCollector, TraceSource,
 };
-use fluentps_util::rng::StdRng;
 
 use fluentps_transport::inproc::{Endpoint, Fabric, InprocPostman};
-use fluentps_transport::{frame, CausalCtx, Mailbox, Message, NodeId, Postman};
+use fluentps_transport::NodeId;
 
 use crate::dpr::DprPolicy;
 use crate::eps::SliceMap;
-use crate::server::{stamp_ctx, GradScale, PullOutcome, ServerShard, ShardConfig};
+use crate::serve::{self, ServerLoop};
+use crate::server::GradScale;
 use crate::stats::ShardStats;
 use crate::worker::{Router, WorkerClient};
 use crate::SyncModel;
@@ -63,7 +65,7 @@ impl Default for EngineConfig {
 /// Handle to a running in-process cluster.
 pub struct Cluster {
     fabric: Fabric,
-    servers: Vec<JoinHandle<ShardStats>>,
+    servers: Vec<(u32, JoinHandle<ShardStats>)>,
     num_servers: u32,
     // Live health engine + the tap feeding it from the run's collector,
     // when launched introspected; the tap drains and the engine is
@@ -202,31 +204,18 @@ impl Cluster {
         let mut servers = Vec::with_capacity(cfg.num_servers as usize);
         for m in 0..cfg.num_servers {
             let endpoint = fabric.register(NodeId::Server(m));
-            let mut shard = ServerShard::new(ShardConfig {
-                server_id: m,
-                num_workers: cfg.num_workers,
-                model: models[m as usize],
-                policy: cfg.policy,
-                grad_scale: cfg.grad_scale,
-            });
-            for p in map.placements().iter().filter(|p| p.server == m) {
-                let vals = init
-                    .get(&p.orig_key)
-                    .map(|v| v[p.offset..p.offset + p.len].to_vec())
-                    .unwrap_or_else(|| vec![0.0; p.len]);
-                shard.init_param(p.new_key, vals);
-            }
-            let tracer = collector.map(|c| c.tracer()).unwrap_or_default();
-            // The shard and its server loop run on one thread; a clone
-            // shares the same ring.
-            shard.set_tracer(tracer.clone());
-            let rng = StdRng::seed_from_u64(cfg.seed.wrapping_add(m as u64 + 1));
-            let profiler = prof.map(|p| p.profiler()).unwrap_or_default();
-            let handle = std::thread::Builder::new()
-                .name(format!("fluentps-server-{m}"))
-                .spawn(move || server_loop(shard, endpoint, rng, tracer, profiler))
-                .expect("spawn server thread");
-            servers.push(handle);
+            let server = ServerLoop::launch(
+                &cfg,
+                models[m as usize],
+                m,
+                &map,
+                init,
+                collector.map(|c| c.tracer()).unwrap_or_default(),
+                prof.map(|p| p.profiler()).unwrap_or_default(),
+            );
+            let postman = endpoint.postman();
+            let handle = server.spawn(format!("fluentps-server-{m}"), endpoint, postman, (), None);
+            servers.push((m, handle));
         }
 
         let router = Router::new(map);
@@ -263,15 +252,7 @@ impl Cluster {
     pub fn shutdown(self) -> Vec<ShardStats> {
         // A synthetic scheduler identity delivers the shutdown.
         let ctl = self.fabric.register(NodeId::Scheduler);
-        for m in 0..self.num_servers {
-            // Ignore failures: the server may already be gone.
-            let _ = ctl.postman().send(NodeId::Server(m), Message::Shutdown);
-        }
-        let stats: Vec<ShardStats> = self
-            .servers
-            .into_iter()
-            .map(|h| h.join().expect("server thread panicked"))
-            .collect();
+        let stats = serve::drain(&ctl.postman(), self.num_servers, self.servers, None);
         // Drain the last recorded events into the health engine, then close
         // its final window so `/slo` reflects the completed run.
         if let Some((engine, tap)) = self.health {
@@ -296,138 +277,11 @@ pub(crate) fn publish_cluster_gauges(
     scope.set_gauge("cluster_up", 1.0);
 }
 
-fn server_loop(
-    mut shard: ServerShard,
-    endpoint: Endpoint,
-    mut rng: StdRng,
-    tracer: Tracer,
-    profiler: Profiler,
-) -> ShardStats {
-    let postman = endpoint.postman();
-    let server_id = shard.config().server_id;
-    // All outgoing messages funnel through here so WireSend events carry the
-    // exact framed size the TCP transport would put on the wire. Replies to
-    // context-carrying requests are wrapped back in the request's envelope,
-    // so the worker-side `WireRecv` closes the request's wire edge.
-    let send = |worker: u32, msg: Message, ctx: Option<CausalCtx>| {
-        let msg = match ctx {
-            Some(c) => msg.with_ctx(c),
-            None => msg,
-        };
-        tracer.record(
-            EventKind::WireSend,
-            stamp_ctx(
-                RecordArgs::new()
-                    .shard(server_id)
-                    .worker(worker)
-                    .bytes(frame::wire_len(&msg) as u64),
-                ctx,
-            ),
-        );
-        let _ = postman.send(NodeId::Worker(worker), msg);
-    };
-    while let Ok((_, msg)) = endpoint.recv() {
-        let wire_bytes = frame::wire_len(&msg) as u64;
-        let (ctx, msg) = msg.split_ctx();
-        if tracer.is_enabled() {
-            let worker = match &msg {
-                Message::SPush { worker, .. } | Message::SPull { worker, .. } => *worker,
-                _ => NO_ID,
-            };
-            tracer.record(
-                EventKind::WireRecv,
-                stamp_ctx(
-                    RecordArgs::new()
-                        .shard(server_id)
-                        .worker(worker)
-                        .bytes(wire_bytes),
-                    ctx,
-                ),
-            );
-        }
-        match msg {
-            Message::SPush {
-                worker,
-                progress,
-                kv,
-            } => {
-                let released = {
-                    let _span = profiler.enter("server/apply_push");
-                    let released = shard.on_push_ctx(worker, progress, &kv, ctx);
-                    send(
-                        worker,
-                        Message::PushAck {
-                            server: server_id,
-                            progress,
-                        },
-                        ctx,
-                    );
-                    released
-                };
-                if !released.is_empty() {
-                    let _span = profiler.enter("server/release_dprs");
-                    for r in released {
-                        send(
-                            r.worker,
-                            Message::PullResponse {
-                                server: server_id,
-                                progress: r.progress,
-                                kv: r.kv,
-                                version: r.version,
-                            },
-                            r.ctx,
-                        );
-                    }
-                }
-            }
-            Message::SPull {
-                worker,
-                progress,
-                keys,
-            } => {
-                let _span = profiler.enter("server/handle_pull");
-                let draw: f64 = rng.gen();
-                match shard.on_pull_ctx(worker, progress, &keys, draw, None, ctx) {
-                    PullOutcome::Respond { kv, version } => {
-                        send(
-                            worker,
-                            Message::PullResponse {
-                                server: server_id,
-                                progress,
-                                kv,
-                                version,
-                            },
-                            ctx,
-                        );
-                    }
-                    PullOutcome::Deferred => {}
-                }
-            }
-            Message::Shutdown => {
-                for r in shard.drain_shutdown() {
-                    send(
-                        r.worker,
-                        Message::PullResponse {
-                            server: server_id,
-                            progress: r.progress,
-                            kv: r.kv,
-                            version: r.version,
-                        },
-                        r.ctx,
-                    );
-                }
-                break;
-            }
-            _ => {}
-        }
-    }
-    shard.stats().clone()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::eps::{EpsSlicer, ParamSpec, Slicer};
+    use fluentps_obs::EventKind;
 
     fn model_params() -> (Vec<ParamSpec>, HashMap<u64, Vec<f32>>) {
         let specs = vec![ParamSpec { key: 0, len: 8 }, ParamSpec { key: 1, len: 4 }];

@@ -32,7 +32,8 @@
 //!   all drive the *same* synchronization logic.
 //! * [`worker`] — the worker-side client (`sPush`/`sPull`/`wait`).
 //! * [`engine`] — a threaded in-process runtime gluing transports to shards
-//!   (overlap synchronization falls out of servers answering independently).
+//!   (overlap synchronization falls out of servers answering independently);
+//!   [`tcp_engine`] and [`recovery`] run the same server loop over TCP.
 //! * [`scheduler`] — the minimal scheduler: liveness and key ranges only.
 //!
 //! ## Quick start
@@ -76,13 +77,13 @@ pub mod dpr;
 pub mod engine;
 pub mod eps;
 pub mod filter;
-pub mod hist;
 pub mod key;
 pub mod progress;
 pub mod pssp;
 pub mod recovery;
 pub mod regret;
 pub mod scheduler;
+mod serve;
 pub mod server;
 pub mod stats;
 pub mod tcp_engine;

@@ -1,16 +1,17 @@
-//! Fault-tolerant TCP runtime: the [`crate::tcp_engine`] server loop plus
+//! Fault-tolerant TCP runtime: the [`crate::tcp_engine`] cluster plus
 //! everything needed to survive a server death mid-training.
 //!
 //! Three pieces cooperate:
 //!
-//! * A **resilient server loop** that (1) deduplicates replayed pushes by a
-//!   per-worker applied-progress window so client retries never
-//!   double-apply gradients or perturb [`ShardStats`], (2) answers
-//!   duplicate pulls from a per-worker reply cache without re-running the
-//!   synchronization condition, (3) heartbeats a supervisor, (4)
-//!   periodically captures a [`ShardCheckpoint`] into a shared store, and
-//!   (5) can self-terminate at a configured logical time (`V_train`
-//!   threshold) to simulate a crash deterministically.
+//! * The **server loop** of the `serve` module with its recovery part: it
+//!   (1) deduplicates replayed pushes by a per-worker applied-progress
+//!   window so client retries never double-apply gradients or perturb
+//!   [`ShardStats`], (2) answers duplicate pulls from a per-worker reply
+//!   cache without re-running the synchronization condition, (3)
+//!   heartbeats a supervisor, (4) periodically captures a
+//!   [`ShardCheckpoint`] into a shared store, and (5) can self-terminate at
+//!   a configured logical time (`V_train` threshold) to simulate a crash
+//!   deterministically.
 //! * A **supervisor** owning a [`LivenessMonitor`]: when a server misses
 //!   its heartbeats it is declared dead and either *replaced* — a fresh
 //!   shard restored from the latest checkpoint, rebound on a new port,
@@ -40,16 +41,15 @@
 
 use std::collections::{BTreeSet, HashMap};
 use std::net::SocketAddr;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use fluentps_obs::{
     ConsensusHealth, EventKind, HealthEngine, HealthTap, HealthView, MetricsRegistry, NodeHealth,
-    RecordArgs, TraceCollector, Tracer, NO_ID,
+    Profiler, RecordArgs, TraceCollector, Tracer,
 };
-use fluentps_util::buf::Bytes;
 use fluentps_util::rng::StdRng;
 use fluentps_util::sync::Mutex;
 
@@ -57,8 +57,7 @@ use fluentps_transport::collect::{StreamerConfig, TraceStreamer};
 use fluentps_transport::fault::{FaultInjector, FaultPlan, FaultyMailbox, FaultyPostman};
 use fluentps_transport::tcp::{AddressBook, TcpNode, TcpPostman};
 use fluentps_transport::{
-    frame, CausalCtx, KvPairs, Mailbox, Message, NodeId, Postman, TransportError, WirePlacement,
-    NO_LEADER,
+    CausalCtx, KvPairs, Mailbox, Message, NodeId, Postman, TransportError, WirePlacement, NO_LEADER,
 };
 
 use crate::checkpoint::ShardCheckpoint;
@@ -66,7 +65,7 @@ use crate::consensus::{ConsensusConfig, ControlCommand, LogEntry, Replica};
 use crate::engine::EngineConfig;
 use crate::eps::{EpsSlicer, SliceMap};
 use crate::scheduler::LivenessMonitor;
-use crate::server::{stamp_ctx, PullOutcome, ServerShard, ShardConfig};
+use crate::serve::{self, new_shard, CheckpointStore, Recovery, ServerLoop, WorkerWindow};
 use crate::stats::ShardStats;
 use crate::worker::{RetryPolicy, Router, WorkerClient};
 
@@ -74,20 +73,16 @@ use crate::worker::{RetryPolicy, Router, WorkerClient};
 /// cluster's fault injector.
 pub type ResilientWorker = WorkerClient<FaultyPostman<TcpPostman>, FaultyMailbox<TcpNode>>;
 
-/// Latest checkpoint per server id, shared between server loops (writers)
-/// and the supervisor (reader at recovery time).
-type CheckpointStore = Arc<Mutex<HashMap<u32, Bytes>>>;
-
 /// Server thread handles plus the shutdown latch, shared across supervisor
 /// replicas: whichever live replica first receives `Shutdown` drains the
 /// servers; a replacement spawned by the current leader lands here too.
 ///
-/// `stop` is the out-of-band counterpart of the `Shutdown` *message*: the
-/// drain path sends `Shutdown` with best effort and then joins the server
-/// threads unconditionally, so a lost frame (chaos drop, racing socket
-/// teardown) would hang the join forever. Every server loop already wakes
-/// on a heartbeat-interval timeout and checks this flag, guaranteeing exit
-/// even when the message never arrives.
+/// `stop` is the out-of-band counterpart of the `Shutdown` *message*, a
+/// timed fallback: the drain sends `Shutdown` first and latches `stop` only
+/// for a server still running after the liveness timeout (a lost frame, a
+/// severed node), so a healthy server always exits by reading its frame.
+/// Every server loop wakes on a heartbeat-interval timeout and checks the
+/// flag, so the join cannot hang.
 #[derive(Debug, Default)]
 struct SharedServers {
     handles: Vec<(u32, JoinHandle<ShardStats>)>,
@@ -338,6 +333,7 @@ pub struct ResilientTcpCluster {
     /// every replica crashed) can drain them exactly once.
     shared: SharedState,
     num_servers: u32,
+    liveness_timeout: Duration,
     num_supervisors: u32,
     /// Tap feeding [`RecoveryConfig::health_engine`] from the in-process
     /// collector (only when `collector_addr` is unset); drained at
@@ -394,42 +390,39 @@ impl ResilientTcpCluster {
         let mut handles = Vec::with_capacity(cfg.num_servers as usize);
         for (m, rx) in server_rx.into_iter().enumerate() {
             let m = m as u32;
-            let mut shard = fresh_shard(&cfg, m);
-            let mut keys: Vec<u64> = Vec::new();
-            for p in map.placements().iter().filter(|p| p.server == m) {
-                let vals = init
-                    .get(&p.orig_key)
-                    .map(|v| v[p.offset..p.offset + p.len].to_vec())
-                    .unwrap_or_else(|| vec![0.0; p.len]);
-                shard.init_param(p.new_key, vals);
-                keys.push(p.new_key);
-            }
-            keys.sort_unstable();
             let (server_tracer, server_streamer) = node_tracing(&rcfg, &tracer, NodeId::Server(m));
-            shard.set_tracer(server_tracer.clone());
-            let handle = spawn_server_loop(
-                ServerLoop {
-                    shard,
-                    keys,
-                    seen: vec![WorkerWindow::default(); cfg.num_workers as usize],
-                    last_reply: vec![None; cfg.num_workers as usize],
-                    pending_pull: vec![None; cfg.num_workers as usize],
-                    rng: StdRng::seed_from_u64(cfg.seed.wrapping_add(m as u64 + 1)),
-                    tracer: server_tracer,
-                    rcfg: rcfg.clone(),
-                    store: Arc::clone(&store),
-                    stop: Arc::clone(&stop),
-                },
-                rx,
-                TcpNode::bind(
-                    NodeId::Server(cfg.num_servers + 1 + m),
-                    loopback,
-                    book.clone(),
-                )?,
-                &injector,
-                server_streamer,
+            let mut server = ServerLoop::launch(
+                &cfg,
+                cfg.model,
+                m,
+                &map,
+                init,
+                server_tracer,
+                Profiler::default(),
             );
-            handles.push((m, handle));
+            let mut keys: Vec<u64> = map
+                .placements()
+                .iter()
+                .filter(|p| p.server == m)
+                .map(|p| p.new_key)
+                .collect();
+            keys.sort_unstable();
+            server.recovery = Some(Recovery::new(
+                keys,
+                vec![WorkerWindow::default(); cfg.num_workers as usize],
+                rcfg.heartbeat_every,
+                rcfg.checkpoint_every,
+                rcfg.kill_server.and_then(|(k, v)| (k == m).then_some(v)),
+                rcfg.num_supervisors,
+                Arc::clone(&store),
+                Arc::clone(&stop),
+            ));
+            let tx = TcpNode::bind(
+                NodeId::Server(cfg.num_servers + 1 + m),
+                loopback,
+                book.clone(),
+            )?;
+            handles.push((m, spawn_server(server, rx, tx, &injector, server_streamer)));
         }
 
         let router = Router::new(map.clone());
@@ -552,6 +545,7 @@ impl ResilientTcpCluster {
                 supervisor_streamers,
                 shared,
                 num_servers: cfg.num_servers,
+                liveness_timeout: rcfg.liveness_timeout,
                 num_supervisors: rcfg.num_supervisors,
                 health_tap,
                 addresses: book,
@@ -600,25 +594,14 @@ impl ResilientTcpCluster {
         // Fallback drain: when every replica crashed (quorum-loss chaos
         // kills all of them) nobody drained the server threads — do it
         // here so they exit and their statistics are not lost.
-        let leftovers = {
-            let mut shared = self.shared.lock();
-            if shared.drained {
-                Vec::new()
-            } else {
-                shared.drained = true;
-                shared.stop.store(true, Ordering::Relaxed);
-                std::mem::take(&mut shared.handles)
-            }
-        };
-        if !leftovers.is_empty() {
-            for m in 0..self.num_servers {
-                let _ = self.control.send(NodeId::Server(m), Message::Shutdown);
-            }
-            for (m, handle) in leftovers {
-                if let Ok(stats) = handle.join() {
-                    merged[m as usize].merge(&stats);
-                }
-            }
+        let leftovers = drain_once(
+            &self.shared,
+            &self.control,
+            self.num_servers,
+            self.liveness_timeout,
+        );
+        for (m, stats) in leftovers.iter().enumerate() {
+            merged[m].merge(stats);
         }
         // Drain the final events (including the replicas' recovery
         // records) into the health engine and freeze it.
@@ -636,361 +619,54 @@ impl ResilientTcpCluster {
     }
 }
 
-fn fresh_shard(cfg: &EngineConfig, m: u32) -> ServerShard {
-    ServerShard::new(ShardConfig {
-        server_id: m,
-        num_workers: cfg.num_workers,
-        model: cfg.model,
-        policy: cfg.policy,
-        grad_scale: cfg.grad_scale,
-    })
-}
-
-/// Per-worker applied-push window: a watermark (everything at or below is
-/// applied) plus the out-of-order progresses above it. The window — rather
-/// than a bare watermark — matters because a dropped push can arrive
-/// *after* a later one was applied; a bare watermark would then reject the
-/// replay forever and stall `V_train`.
-#[derive(Debug, Clone, Default)]
-struct WorkerWindow {
-    watermark: Option<u64>,
-    ahead: BTreeSet<u64>,
-}
-
-impl WorkerWindow {
-    fn is_applied(&self, progress: u64) -> bool {
-        self.watermark.is_some_and(|w| progress <= w) || self.ahead.contains(&progress)
-    }
-
-    fn apply(&mut self, progress: u64) {
-        self.ahead.insert(progress);
-        loop {
-            let next = self.watermark.map(|w| w + 1).unwrap_or(0);
-            if self.ahead.remove(&next) {
-                self.watermark = Some(next);
-            } else {
-                break;
-            }
-        }
-    }
-
-    /// True when every applied push is covered by the watermark — the only
-    /// state in which the watermark alone describes the applied set, and
-    /// therefore the only state safe to checkpoint.
-    fn gapless(&self) -> bool {
-        self.ahead.is_empty()
-    }
-}
-
-/// State owned by one incarnation of a resilient server loop.
-struct ServerLoop {
-    shard: ServerShard,
-    /// Wire keys this shard owns, sorted (checkpoint capture order).
-    keys: Vec<u64>,
-    seen: Vec<WorkerWindow>,
-    /// Last pull answered per worker: `(progress, requested keys, full
-    /// response)`. Keys are part of the match because a worker re-pulls
-    /// the *same* progress with a *different* key set after a
-    /// `RouteUpdate`; answering that from the cache would silently omit
-    /// newly adopted parameters.
-    last_reply: Vec<Option<(u64, Vec<u64>, Message)>>,
-    /// Pull currently parked in the DPR buffer per worker.
-    pending_pull: Vec<Option<u64>>,
-    rng: StdRng,
-    tracer: Tracer,
-    rcfg: RecoveryConfig,
-    store: CheckpointStore,
-    /// Out-of-band shutdown latch (see [`SharedServers`]): checked every
-    /// loop wake-up so a lost `Shutdown` frame cannot strand the thread.
-    stop: Arc<AtomicBool>,
-}
-
-fn spawn_server_loop(
-    state: ServerLoop,
+/// Run a resilient server loop behind the cluster's fault injector. The
+/// `tx` node's id is an implementation detail; faults match on the
+/// *logical* sender, so both halves are wrapped as `Server(m)`.
+fn spawn_server(
+    server: ServerLoop,
     rx: TcpNode,
     tx: TcpNode,
     injector: &FaultInjector,
     streamer: Option<TraceStreamer>,
 ) -> JoinHandle<ShardStats> {
-    let m = state.shard.config().server_id;
-    // The tx node's id is an implementation detail; faults match on the
-    // *logical* sender, so wrap with `Server(m)`.
+    let m = server.shard.config().server_id;
     let postman = injector.postman(NodeId::Server(m), tx.postman());
     let mailbox = injector.mailbox(NodeId::Server(m), rx);
-    std::thread::Builder::new()
-        .name(format!("fluentps-rts-server-{m}"))
-        .spawn(move || {
-            let stats = resilient_server_loop(state, mailbox, postman, tx);
-            // Final-flush this server's trace stream from its own thread so a
-            // killed server still ships everything it recorded before exiting.
-            if let Some(s) = streamer {
-                s.stop();
-            }
-            stats
-        })
-        .expect("spawn resilient server")
+    server.spawn(
+        format!("fluentps-rts-server-{m}"),
+        mailbox,
+        postman,
+        tx,
+        streamer,
+    )
 }
 
-fn resilient_server_loop<M: Mailbox, P: Postman>(
-    mut s: ServerLoop,
-    rx: M,
-    postman: P,
-    _tx_keepalive: TcpNode,
-) -> ShardStats {
-    let server_id = s.shard.config().server_id;
-    let supervisors = s.rcfg.num_supervisors.max(1);
-    // The supervisor replica this server believes currently leads. Wrong
-    // guesses are cheap: a live follower answers with a `LeaderRedirect`,
-    // and a crashed replica fails the send, rotating to the next one.
-    let mut leader: u32 = 0;
-    let mut hb_seq = 0u64;
-    let mut last_hb = Instant::now() - s.rcfg.heartbeat_every;
-    let mut checkpoint_due = true; // capture once at startup
-    let mut last_cp_v = None::<u64>;
-
-    loop {
-        // Out-of-band shutdown: the drain path sets this flag before it
-        // sends `Shutdown` and joins, so even a lost frame lets the loop
-        // exit at the next heartbeat-interval wake-up.
-        if s.stop.load(Ordering::Relaxed) {
-            drain_pending_replies(&mut s, &postman, server_id);
-            break;
-        }
-        // Heartbeat on schedule, even under load.
-        if last_hb.elapsed() >= s.rcfg.heartbeat_every {
-            hb_seq += 1;
-            let hb = Message::Heartbeat {
-                node: NodeId::Server(server_id),
-                seq: hb_seq,
-            };
-            if postman.send(NodeId::Supervisor(leader), hb).is_err() {
-                leader = (leader + 1) % supervisors;
-            }
-            last_hb = Instant::now();
-        }
-        // Deterministic crash at a logical time. Checked before the
-        // checkpoint block so state reached at the kill threshold dies
-        // uncaptured — recovery genuinely replays from an older snapshot.
-        if let Some((kill_m, threshold)) = s.rcfg.kill_server {
-            if kill_m == server_id && s.shard.v_train() >= threshold {
-                return s.shard.stats().clone();
-            }
-        }
-        // Checkpoint when due and the applied windows are gapless (a gap
-        // means the watermark under-describes the applied set).
-        if checkpoint_due && s.seen.iter().all(WorkerWindow::gapless) {
-            let applied: Vec<Option<u64>> = s.seen.iter().map(|w| w.watermark).collect();
-            let cp = ShardCheckpoint::capture_with_applied(&s.shard, &s.keys, &applied);
-            let bytes = cp.to_bytes();
-            s.tracer.record(
-                EventKind::CheckpointCaptured,
-                RecordArgs::new()
-                    .shard(server_id)
-                    .v_train(cp.v_train)
-                    .bytes(bytes.len() as u64),
-            );
-            s.store.lock().insert(server_id, bytes);
-            last_cp_v = Some(cp.v_train);
-            checkpoint_due = false;
-        }
-        let msg = match rx.recv_timeout(s.rcfg.heartbeat_every) {
-            Ok(Some((_, msg))) => msg,
-            Ok(None) => continue,
-            Err(_) => break,
-        };
-        let wire_bytes = frame::wire_len(&msg) as u64;
-        let (ctx, msg) = msg.split_ctx();
-        if s.tracer.is_enabled() {
-            let worker = match &msg {
-                Message::SPush { worker, .. } | Message::SPull { worker, .. } => *worker,
-                _ => NO_ID,
-            };
-            s.tracer.record(
-                EventKind::WireRecv,
-                stamp_ctx(
-                    RecordArgs::new()
-                        .shard(server_id)
-                        .worker(worker)
-                        .bytes(wire_bytes),
-                    ctx,
-                ),
-            );
-        }
-        // Wrap replies back in the request's envelope (when it carried one)
-        // so every hop of the request's round trip shares a waterfall.
-        let wrap = |msg: Message, ctx: Option<CausalCtx>| match ctx {
-            Some(c) => msg.with_ctx(c),
-            None => msg,
-        };
-        match msg {
-            Message::SPush {
-                worker,
-                progress,
-                kv,
-            } => {
-                let w = worker as usize;
-                let ack = wrap(
-                    Message::PushAck {
-                        server: server_id,
-                        progress,
-                    },
-                    ctx,
-                );
-                if s.seen[w].is_applied(progress) {
-                    // Replay of an already-applied push: re-ack only, the
-                    // shard (and its statistics) never sees it.
-                    send_traced(&postman, &s.tracer, server_id, worker, ack);
-                    continue;
-                }
-                let before = s.shard.v_train();
-                let released = s.shard.on_push_ctx(worker, progress, &kv, ctx);
-                s.seen[w].apply(progress);
-                send_traced(&postman, &s.tracer, server_id, worker, ack);
-                for r in released {
-                    let rkeys = r.kv.keys.clone();
-                    let resp = wrap(
-                        Message::PullResponse {
-                            server: server_id,
-                            progress: r.progress,
-                            kv: r.kv,
-                            version: r.version,
-                        },
-                        r.ctx,
-                    );
-                    s.last_reply[r.worker as usize] = Some((r.progress, rkeys, resp.clone()));
-                    s.pending_pull[r.worker as usize] = None;
-                    send_traced(&postman, &s.tracer, server_id, r.worker, resp);
-                }
-                let after = s.shard.v_train();
-                if after > before
-                    && s.rcfg.checkpoint_every > 0
-                    && after >= last_cp_v.unwrap_or(0) + s.rcfg.checkpoint_every
-                {
-                    checkpoint_due = true;
-                }
-            }
-            Message::SPull {
-                worker,
-                progress,
-                keys,
-            } => {
-                let w = worker as usize;
-                if s.pending_pull[w] == Some(progress) {
-                    // Re-issued pull for a round already parked in the DPR
-                    // buffer; the release will answer it.
-                    continue;
-                }
-                if let Some((p, pkeys, resp)) = &s.last_reply[w] {
-                    if *p == progress && *pkeys == keys {
-                        // Duplicate of an answered pull: re-send the cached
-                        // response verbatim — no condition re-evaluation,
-                        // no rng draw, no statistics drift.
-                        let resp = resp.clone();
-                        send_traced(&postman, &s.tracer, server_id, worker, resp);
-                        continue;
-                    }
-                    if *p > progress {
-                        // Stale retransmit of a round the worker has
-                        // already finished.
-                        continue;
-                    }
-                }
-                if keys.iter().any(|k| s.keys.binary_search(k).is_err()) {
-                    // The worker's routing ran ahead of our Install (the
-                    // supervisor's recovery messages race on separate
-                    // streams); its retry will re-issue the pull once the
-                    // parameters have arrived.
-                    continue;
-                }
-                let draw: f64 = s.rng.gen();
-                match s
-                    .shard
-                    .on_pull_ctx(worker, progress, &keys, draw, None, ctx)
-                {
-                    PullOutcome::Respond { kv, version } => {
-                        let resp = wrap(
-                            Message::PullResponse {
-                                server: server_id,
-                                progress,
-                                kv,
-                                version,
-                            },
-                            ctx,
-                        );
-                        s.last_reply[w] = Some((progress, keys, resp.clone()));
-                        send_traced(&postman, &s.tracer, server_id, worker, resp);
-                    }
-                    PullOutcome::Deferred => {
-                        s.pending_pull[w] = Some(progress);
-                    }
-                }
-            }
-            Message::Install { kv } => {
-                // Recovery: adopt parameters verbatim (degraded-mode
-                // hand-off of a dead server's keys).
-                for (key, vals) in kv.iter() {
-                    s.shard.init_param(key, vals.to_vec());
-                    if let Err(i) = s.keys.binary_search(&key) {
-                        s.keys.insert(i, key);
-                    }
-                }
-                checkpoint_due = true;
-            }
-            Message::LeaderRedirect { leader: l, .. } => {
-                // A follower replica told us who leads. `NO_LEADER` means
-                // an election is in progress — keep the current target
-                // rather than thrash between candidates.
-                if l != NO_LEADER && l < supervisors {
-                    leader = l;
-                }
-            }
-            Message::Shutdown => {
-                drain_pending_replies(&mut s, &postman, server_id);
-                break;
-            }
-            _ => {}
-        }
-    }
-    s.shard.stats().clone()
-}
-
-/// Flush every reply parked in the DPR buffer back to its worker, wrapped
-/// in the request's causal envelope when it carried one. Shared by the
-/// `Shutdown` message arm and the out-of-band stop-flag exit.
-fn drain_pending_replies<P: Postman>(s: &mut ServerLoop, postman: &P, server_id: u32) {
-    for r in s.shard.drain_shutdown() {
-        let resp = Message::PullResponse {
-            server: server_id,
-            progress: r.progress,
-            kv: r.kv,
-            version: r.version,
-        };
-        let resp = match r.ctx {
-            Some(c) => resp.with_ctx(c),
-            None => resp,
-        };
-        send_traced(postman, &s.tracer, server_id, r.worker, resp);
-    }
-}
-
-fn send_traced<P: Postman>(
+/// Drain the servers exactly once across all supervisor replicas and the
+/// cluster's own fallback: whoever gets here first takes the shared
+/// handles; later callers find `drained` set and get no statistics.
+fn drain_once<P: Postman>(
+    shared: &SharedState,
     postman: &P,
-    tracer: &Tracer,
-    server_id: u32,
-    worker: u32,
-    msg: Message,
-) {
-    tracer.record(
-        EventKind::WireSend,
-        stamp_ctx(
-            RecordArgs::new()
-                .shard(server_id)
-                .worker(worker)
-                .bytes(frame::wire_len(&msg) as u64),
-            msg.ctx(),
-        ),
-    );
-    let _ = postman.send(NodeId::Worker(worker), msg);
+    num_servers: u32,
+    liveness_timeout: Duration,
+) -> Vec<ShardStats> {
+    let (handles, stop) = {
+        let mut shared = shared.lock();
+        if shared.drained {
+            return Vec::new();
+        }
+        shared.drained = true;
+        (
+            std::mem::take(&mut shared.handles),
+            Arc::clone(&shared.stop),
+        )
+    };
+    serve::drain(
+        postman,
+        num_servers,
+        handles,
+        Some((&stop, liveness_timeout)),
+    )
 }
 
 /// Ship a batch of consensus messages; unreachable replicas (crashed ones)
@@ -1169,7 +845,12 @@ impl SupervisorReplica {
                 Err(_) => break,
             }
         }
-        self.drain_servers(&postman)
+        drain_once(
+            &self.shared,
+            &postman,
+            self.cfg.num_servers,
+            self.rcfg.liveness_timeout,
+        )
     }
 
     /// This replica just won an election. A follower's liveness view is
@@ -1301,35 +982,6 @@ impl SupervisorReplica {
         self.health.update(nodes);
     }
 
-    /// Orderly server drain, performed exactly once across all replicas:
-    /// whichever replica first reaches shutdown takes the shared handles;
-    /// later replicas (and the cluster's own fallback) find `drained` set.
-    fn drain_servers(&mut self, postman: &TcpPostman) -> Vec<ShardStats> {
-        let handles = {
-            let mut shared = self.shared.lock();
-            if shared.drained {
-                return Vec::new();
-            }
-            shared.drained = true;
-            // Latch first: `Shutdown` below is best-effort, and the join
-            // after it is unconditional — the flag guarantees the loops
-            // exit even when a frame is lost.
-            shared.stop.store(true, Ordering::Relaxed);
-            std::mem::take(&mut shared.handles)
-        };
-        for m in 0..self.cfg.num_servers {
-            let _ = postman.send(NodeId::Server(m), Message::Shutdown);
-        }
-        let mut merged: Vec<ShardStats> =
-            vec![ShardStats::default(); self.cfg.num_servers as usize];
-        for (m, handle) in handles {
-            if let Ok(stats) = handle.join() {
-                merged[m as usize].merge(&stats);
-            }
-        }
-        merged
-    }
-
     /// Spawn a replacement for dead server `m` from its latest checkpoint.
     /// Returns false when no usable checkpoint exists.
     fn try_replace(&mut self, m: u32) -> bool {
@@ -1353,7 +1005,7 @@ impl SupervisorReplica {
         // redial the replacement after its old connection errors out.
         self.book.insert(NodeId::Server(m), rx.local_addr());
 
-        let mut shard = fresh_shard(&self.cfg, m);
+        let mut shard = new_shard(&self.cfg, self.cfg.model, m);
         // The replacement gets its own collector+streamer: on the merged
         // timeline it is a new incarnation of `serverM` (the collector folds
         // the restarted batch sequence into the same per-node accounting).
@@ -1371,13 +1023,7 @@ impl SupervisorReplica {
                 shard.seed_applied(w as u32, *mark);
             }
         }
-        let seen = watermarks
-            .into_iter()
-            .map(|w| WorkerWindow {
-                watermark: w,
-                ahead: BTreeSet::new(),
-            })
-            .collect();
+        let seen = watermarks.into_iter().map(WorkerWindow::at).collect();
         // A replacement is a control-plane action like a remap: give it a
         // supervisor request id so the restoration shows up as a retained
         // (recovery-touched) waterfall even though it sends no messages.
@@ -1397,31 +1043,28 @@ impl SupervisorReplica {
                 .wrapping_add(m as u64 + 1)
                 .wrapping_add(self.generation.wrapping_mul(0x9E37_79B9_7F4A_7C15)),
         );
-        // The kill switch simulates *one* crash. A replacement inheriting it
-        // would re-die the moment a replayed push brings `V_train` back to
-        // the threshold, restoring the same checkpoint each time — a
-        // permanent crash loop whenever the sync model lets workers run
-        // ahead of `V_train` (SSP/PSSP).
-        let mut rcfg = self.rcfg.clone();
-        rcfg.kill_server = None;
-        let handle = spawn_server_loop(
-            ServerLoop {
-                shard,
+        let server = ServerLoop {
+            shard,
+            rng,
+            tracer: rep_tracer,
+            profiler: Profiler::default(),
+            // The kill switch simulates *one* crash. A replacement
+            // inheriting it would re-die the moment a replayed push brings
+            // `V_train` back to the threshold, restoring the same
+            // checkpoint each time — a permanent crash loop whenever the
+            // sync model lets workers run ahead of `V_train` (SSP/PSSP).
+            recovery: Some(Recovery::new(
                 keys,
                 seen,
-                last_reply: vec![None; self.cfg.num_workers as usize],
-                pending_pull: vec![None; self.cfg.num_workers as usize],
-                rng,
-                tracer: rep_tracer,
-                rcfg,
-                store: Arc::clone(&self.store),
-                stop: Arc::clone(&self.shared.lock().stop),
-            },
-            rx,
-            tx,
-            &self.injector,
-            rep_streamer,
-        );
+                self.rcfg.heartbeat_every,
+                self.rcfg.checkpoint_every,
+                None,
+                self.rcfg.num_supervisors,
+                Arc::clone(&self.store),
+                Arc::clone(&self.shared.lock().stop),
+            )),
+        };
+        let handle = spawn_server(server, rx, tx, &self.injector, rep_streamer);
         self.shared.lock().handles.push((m, handle));
         true
     }

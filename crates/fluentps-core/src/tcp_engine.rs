@@ -3,27 +3,28 @@
 //! ports, suitable for splitting across processes (each side only needs the
 //! address book).
 //!
-//! The server loop is shared with the in-process engine conceptually: both
-//! drive the identical [`ServerShard`] state machine; only the transport
-//! differs. Workers use the same [`WorkerClient`] with TCP halves.
+//! Each server thread runs the crate's one server loop (the `serve`
+//! module) without its recovery part, receiving on its own node and
+//! replying through a sender node; the TCP postman coalesces each handled
+//! message's replies into one write per worker. Workers use the same
+//! [`WorkerClient`] with TCP halves.
 
 use std::collections::HashMap;
 use std::net::SocketAddr;
 use std::thread::JoinHandle;
 
 use fluentps_obs::{
-    http, EventKind, HealthEngine, HealthTap, IntrospectionServer, MetricsRegistry, ProfCollector,
-    Profiler, RecordArgs, StreamConfig, TraceCollector, TraceSource, Tracer, NO_ID,
+    http, HealthEngine, HealthTap, IntrospectionServer, MetricsRegistry, ProfCollector,
+    StreamConfig, TraceCollector, TraceSource, Tracer,
 };
-use fluentps_util::rng::StdRng;
 
 use fluentps_transport::collect::{StreamerConfig, TraceStreamer};
 use fluentps_transport::tcp::{AddressBook, TcpNode, TcpPostman};
-use fluentps_transport::{frame, CausalCtx, Mailbox, Message, NodeId, Postman, TransportError};
+use fluentps_transport::{NodeId, TransportError};
 
 use crate::engine::EngineConfig;
 use crate::eps::SliceMap;
-use crate::server::{stamp_ctx, PullOutcome, ServerShard, ShardConfig};
+use crate::serve::{self, ServerLoop};
 use crate::stats::ShardStats;
 use crate::worker::{Router, WorkerClient};
 
@@ -33,7 +34,7 @@ pub type TcpWorker = WorkerClient<TcpPostman, TcpNode>;
 /// Handle to a running TCP cluster (all nodes on loopback unless configured
 /// otherwise).
 pub struct TcpCluster {
-    servers: Vec<JoinHandle<ShardStats>>,
+    servers: Vec<(u32, JoinHandle<ShardStats>)>,
     control: TcpPostman,
     // Keeps the control endpoint's connections alive; dropping the node
     // would mark its postman disconnected.
@@ -61,7 +62,7 @@ impl TcpCluster {
         map: SliceMap,
         init: &HashMap<u64, Vec<f32>>,
     ) -> Result<(TcpCluster, Vec<TcpWorker>), TransportError> {
-        Self::launch_inner(cfg, map, init, None, None)
+        Self::launch_profiled(cfg, map, init, None, None, None)
     }
 
     /// [`TcpCluster::launch`] with a [`TraceCollector`]: shards, server
@@ -72,7 +73,7 @@ impl TcpCluster {
         init: &HashMap<u64, Vec<f32>>,
         collector: &TraceCollector,
     ) -> Result<(TcpCluster, Vec<TcpWorker>), TransportError> {
-        Self::launch_inner(cfg, map, init, Some(collector), None)
+        Self::launch_profiled(cfg, map, init, Some(collector), None, None)
     }
 
     /// Launch with *cluster-wide trace collection*: every server loop and
@@ -87,7 +88,14 @@ impl TcpCluster {
         collector_addr: SocketAddr,
         ring_capacity: usize,
     ) -> Result<(TcpCluster, Vec<TcpWorker>), TransportError> {
-        Self::launch_inner(cfg, map, init, None, Some((collector_addr, ring_capacity)))
+        Self::launch_profiled(
+            cfg,
+            map,
+            init,
+            None,
+            Some((collector_addr, ring_capacity)),
+            None,
+        )
     }
 
     /// [`TcpCluster::launch_with_collector`] plus a live introspection
@@ -141,16 +149,6 @@ impl TcpCluster {
     /// paths).
     pub fn health_engine(&self) -> Option<&HealthEngine> {
         self.health.as_ref().map(|(engine, _)| engine)
-    }
-
-    fn launch_inner(
-        cfg: EngineConfig,
-        map: SliceMap,
-        init: &HashMap<u64, Vec<f32>>,
-        collector: Option<&TraceCollector>,
-        stream_to: Option<(SocketAddr, usize)>,
-    ) -> Result<(TcpCluster, Vec<TcpWorker>), TransportError> {
-        Self::launch_profiled(cfg, map, init, collector, stream_to, None)
     }
 
     fn launch_profiled(
@@ -217,37 +215,25 @@ impl TcpCluster {
         for (m, rx) in server_rx.into_iter().enumerate() {
             let m = m as u32;
             let tx = bind_node(NodeId::Server(cfg.num_servers + 1 + m), book.clone())?;
-            let mut shard = ServerShard::new(ShardConfig {
-                server_id: m,
-                num_workers: cfg.num_workers,
-                model: cfg.model,
-                policy: cfg.policy,
-                grad_scale: cfg.grad_scale,
-            });
-            for p in map.placements().iter().filter(|p| p.server == m) {
-                let vals = init
-                    .get(&p.orig_key)
-                    .map(|v| v[p.offset..p.offset + p.len].to_vec())
-                    .unwrap_or_else(|| vec![0.0; p.len]);
-                shard.init_param(p.new_key, vals);
-            }
             let (tracer, streamer) = node_tracing(NodeId::Server(m));
-            shard.set_tracer(tracer.clone());
-            let rng = StdRng::seed_from_u64(cfg.seed.wrapping_add(m as u64 + 1));
-            let profiler = prof.map(|p| p.profiler()).unwrap_or_default();
-            let handle = std::thread::Builder::new()
-                .name(format!("fluentps-tcp-server-{m}"))
-                .spawn(move || {
-                    let stats = tcp_server_loop(shard, rx, tx, rng, tracer, profiler);
-                    // Final-flush from the server's own thread so everything
-                    // it recorded reaches the collector before it exits.
-                    if let Some(s) = streamer {
-                        s.stop();
-                    }
-                    stats
-                })
-                .expect("spawn tcp server");
-            servers.push(handle);
+            let server = ServerLoop::launch(
+                &cfg,
+                cfg.model,
+                m,
+                &map,
+                init,
+                tracer,
+                prof.map(|p| p.profiler()).unwrap_or_default(),
+            );
+            let postman = tx.postman();
+            let handle = server.spawn(
+                format!("fluentps-tcp-server-{m}"),
+                rx,
+                postman,
+                tx,
+                streamer,
+            );
+            servers.push((m, handle));
         }
 
         let router = Router::new(map);
@@ -294,14 +280,7 @@ impl TcpCluster {
         for s in self.worker_streamers {
             s.stop();
         }
-        for m in 0..self.num_servers {
-            let _ = self.control.send(NodeId::Server(m), Message::Shutdown);
-        }
-        let stats: Vec<ShardStats> = self
-            .servers
-            .into_iter()
-            .map(|h| h.join().expect("tcp server thread"))
-            .collect();
+        let stats = serve::drain(&self.control, self.num_servers, self.servers, None);
         // Drain the servers' final events into the health engine, then
         // close its last window so `/slo` reflects the completed run.
         if let Some((engine, tap)) = self.health {
@@ -312,157 +291,12 @@ impl TcpCluster {
     }
 }
 
-fn tcp_server_loop(
-    mut shard: ServerShard,
-    rx: TcpNode,
-    tx: TcpNode,
-    mut rng: StdRng,
-    tracer: Tracer,
-    profiler: Profiler,
-) -> ShardStats {
-    let postman = tx.postman();
-    let server_id = shard.config().server_id;
-    // Every reply a handled message produces (a PushAck plus any released
-    // PullResponses, or the shutdown drain) is queued and handed to the
-    // transport as one batch, so the TCP postman coalesces all frames for a
-    // worker into a single write instead of one syscall per reply.
-    let mut replies: Vec<(NodeId, Message)> = Vec::new();
-    let send = |replies: &mut Vec<(NodeId, Message)>,
-                worker: u32,
-                msg: Message,
-                ctx: Option<CausalCtx>| {
-        let msg = match ctx {
-            Some(c) => msg.with_ctx(c),
-            None => msg,
-        };
-        tracer.record(
-            EventKind::WireSend,
-            stamp_ctx(
-                RecordArgs::new()
-                    .shard(server_id)
-                    .worker(worker)
-                    .bytes(frame::wire_len(&msg) as u64),
-                ctx,
-            ),
-        );
-        replies.push((NodeId::Worker(worker), msg));
-    };
-    while let Ok((_, msg)) = rx.recv() {
-        let wire_bytes = frame::wire_len(&msg) as u64;
-        let (ctx, msg) = msg.split_ctx();
-        if tracer.is_enabled() {
-            let worker = match &msg {
-                Message::SPush { worker, .. } | Message::SPull { worker, .. } => *worker,
-                _ => NO_ID,
-            };
-            tracer.record(
-                EventKind::WireRecv,
-                stamp_ctx(
-                    RecordArgs::new()
-                        .shard(server_id)
-                        .worker(worker)
-                        .bytes(wire_bytes),
-                    ctx,
-                ),
-            );
-        }
-        let mut done = false;
-        match msg {
-            Message::SPush {
-                worker,
-                progress,
-                kv,
-            } => {
-                let released = {
-                    let _span = profiler.enter("server/apply_push");
-                    let released = shard.on_push_ctx(worker, progress, &kv, ctx);
-                    send(
-                        &mut replies,
-                        worker,
-                        Message::PushAck {
-                            server: server_id,
-                            progress,
-                        },
-                        ctx,
-                    );
-                    released
-                };
-                if !released.is_empty() {
-                    let _span = profiler.enter("server/release_dprs");
-                    for r in released {
-                        send(
-                            &mut replies,
-                            r.worker,
-                            Message::PullResponse {
-                                server: server_id,
-                                progress: r.progress,
-                                kv: r.kv,
-                                version: r.version,
-                            },
-                            r.ctx,
-                        );
-                    }
-                }
-            }
-            Message::SPull {
-                worker,
-                progress,
-                keys,
-            } => {
-                let _span = profiler.enter("server/handle_pull");
-                let draw: f64 = rng.gen();
-                if let PullOutcome::Respond { kv, version } =
-                    shard.on_pull_ctx(worker, progress, &keys, draw, None, ctx)
-                {
-                    send(
-                        &mut replies,
-                        worker,
-                        Message::PullResponse {
-                            server: server_id,
-                            progress,
-                            kv,
-                            version,
-                        },
-                        ctx,
-                    );
-                }
-            }
-            Message::Shutdown => {
-                for r in shard.drain_shutdown() {
-                    send(
-                        &mut replies,
-                        r.worker,
-                        Message::PullResponse {
-                            server: server_id,
-                            progress: r.progress,
-                            kv: r.kv,
-                            version: r.version,
-                        },
-                        r.ctx,
-                    );
-                }
-                done = true;
-            }
-            _ => {}
-        }
-        if !replies.is_empty() {
-            // The flush is its own phase: frame encoding inside it shows up
-            // as a nested `wire/encode` under `server/reply`.
-            let _span = profiler.enter("server/reply");
-            let _ = postman.send_batch(std::mem::take(&mut replies));
-        }
-        if done {
-            break;
-        }
-    }
-    shard.stats().clone()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::condition::SyncModel;
     use crate::eps::{EpsSlicer, ParamSpec, Slicer};
+    use fluentps_obs::EventKind;
 
     #[test]
     fn tcp_cluster_runs_bsp_training_round_trips() {

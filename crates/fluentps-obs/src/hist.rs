@@ -4,7 +4,7 @@
 //! queued, …): enough resolution to report p50/p95/p99 in the experiment
 //! tables without unbounded memory. Lives here (rather than in
 //! `fluentps-core`) so the metrics registry and `ShardStats` share one
-//! implementation; core re-exports it at its old path.
+//! implementation.
 
 /// Histogram over `u64` values with power-of-two buckets: bucket `i` covers
 /// `[2^(i−1), 2^i)` with bucket 0 covering exactly `{0}`.

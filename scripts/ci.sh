@@ -186,24 +186,33 @@ wait "$prof_pid"
 grep -q '^profile-span path=worker/step ' "$smokedir/profile.txt"
 grep -q 'profile: top ' "$smokedir/profile.txt"
 
-# Waterfall smoke: end-to-end causal request tracing. (a) Determinism: two
-# same-seed no-kill chaos runs must print bit-identical `waterfall-` lines —
-# assembly is a pure function of the logical message set (ids + fold keys),
-# never of wall-clock timings. The repro command itself exits 1 if the
-# retained/sampled_out/observed balance or the per-request gapless audit
-# fails, so running it is the assertion. (b) Recovery: a kill run must
+# Waterfall smoke: end-to-end causal request tracing. (a) Determinism: three
+# same-seed no-kill chaos runs, made while two busy loops contend for the
+# cores, must print bit-identical `waterfall-` lines — assembly is a pure
+# function of the logical message set (ids + fold keys), never of
+# wall-clock timings or thread scheduling. The repro command itself exits 1
+# if the retained/sampled_out/observed balance or the per-request gapless
+# audit fails, so running it is the assertion. (b) Recovery: a kill run must
 # retain a control-plane waterfall (supervisor request ids carry bit 63 —
 # the checkpoint restore shows up as a traced request) and still pass both
 # audits. (c) Live: a mid-run /waterfall?slowest=3 scrape must serve NDJSON
 # whose balance header balances and whose every line passes the in-tree
 # JSON validator.
-./target/release/repro waterfall --seed 42 --workers 1 --servers 2 --iters 20 --faults 8 \
-  >"$smokedir/wf_a.txt" 2>/dev/null
-./target/release/repro waterfall --seed 42 --workers 1 --servers 2 --iters 20 --faults 8 \
-  >"$smokedir/wf_b.txt" 2>/dev/null
-grep '^waterfall-' "$smokedir/wf_a.txt" >"$smokedir/wf_a_core.txt"
-grep '^waterfall-' "$smokedir/wf_b.txt" >"$smokedir/wf_b_core.txt"
+busy_pids=""
+for _ in 1 2; do
+  ( while :; do :; done ) &
+  busy_pids="$busy_pids $!"
+done
+trap 'kill $busy_pids 2>/dev/null; rm -rf "$smokedir"' EXIT
+for run in a b c; do
+  ./target/release/repro waterfall --seed 42 --workers 1 --servers 2 --iters 20 --faults 8 \
+    >"$smokedir/wf_$run.txt" 2>/dev/null
+  grep '^waterfall-' "$smokedir/wf_$run.txt" >"$smokedir/wf_${run}_core.txt"
+done
+kill $busy_pids
+trap 'rm -rf "$smokedir"' EXIT
 diff "$smokedir/wf_a_core.txt" "$smokedir/wf_b_core.txt"
+diff "$smokedir/wf_a_core.txt" "$smokedir/wf_c_core.txt"
 grep -Eq '^waterfall-balance observed=[1-9][0-9]* retained=' "$smokedir/wf_a.txt"
 grep -q '^waterfall-gapless ok$' "$smokedir/wf_a.txt"
 
