@@ -14,6 +14,7 @@ use fluentps_util::{criterion_group, criterion_main};
 use fluentps_core::condition::SyncModel;
 use fluentps_core::engine::{Cluster, EngineConfig};
 use fluentps_core::eps::{EpsSlicer, ParamSpec, Slicer};
+use fluentps_core::obs::Obs;
 use fluentps_obs::{
     analyze, export, EventKind, MetricsRegistry, ProfCollector, Profiler, RecordArgs,
     TraceCollector, Tracer,
@@ -142,7 +143,13 @@ fn run_threaded_cluster(collector: Option<&TraceCollector>) -> u64 {
         ..EngineConfig::default()
     };
     let (cluster, mut workers) = match collector {
-        Some(col) => Cluster::launch_with_collector(cfg, map, &init, col),
+        Some(col) => {
+            let obs = Obs {
+                collector: Some(col.clone()),
+                ..Obs::default()
+            };
+            Cluster::launch_observed(cfg, vec![cfg.model; 2], map, &init, &obs)
+        }
         None => Cluster::launch(cfg, map, &init),
     };
     let mut grads = HashMap::new();
@@ -207,7 +214,13 @@ fn run_tcp_cluster(collect: Option<std::net::SocketAddr>) -> u64 {
         ..EngineConfig::default()
     };
     let (cluster, mut workers) = match collect {
-        Some(addr) => TcpCluster::launch_collected(cfg, map, &init, addr, 1 << 12).unwrap(),
+        Some(addr) => {
+            let obs = Obs {
+                stream_to: Some((addr, 1 << 12)),
+                ..Obs::default()
+            };
+            TcpCluster::launch_observed(cfg, map, &init, &obs).unwrap()
+        }
         None => TcpCluster::launch(cfg, map, &init).unwrap(),
     };
     let mut grads = HashMap::new();

@@ -11,6 +11,7 @@ use crate::condition::SyncModel;
 use crate::dpr::DprPolicy;
 use crate::engine::{Cluster, EngineConfig, InprocWorker};
 use crate::eps::{DefaultSlicer, EpsSlicer, ParamSpec, SliceMap, Slicer};
+use crate::obs::Obs;
 use crate::server::GradScale;
 
 /// Which placement strategy the builder uses.
@@ -57,6 +58,7 @@ pub struct FluentPs {
     grad_scale: GradScale,
     slicer: SlicerChoice,
     seed: u64,
+    obs: Obs,
 }
 
 impl Default for FluentPs {
@@ -70,6 +72,7 @@ impl Default for FluentPs {
             grad_scale: GradScale::DivideByN,
             slicer: SlicerChoice::Eps { max_chunk: 4096 },
             seed: 0,
+            obs: Obs::default(),
         }
     }
 }
@@ -129,6 +132,12 @@ impl FluentPs {
         self
     }
 
+    /// What the cluster records (default: nothing).
+    pub fn obs(mut self, obs: Obs) -> Self {
+        self.obs = obs;
+        self
+    }
+
     /// Compute the placement this builder would use for `init`.
     pub fn plan(&self, init: &HashMap<u64, Vec<f32>>) -> SliceMap {
         let mut specs: Vec<ParamSpec> = init
@@ -159,32 +168,10 @@ impl FluentPs {
             grad_scale: self.grad_scale,
             seed: self.seed,
         };
-        match self.per_server_models {
-            Some(models) => Cluster::launch_heterogeneous(cfg, models, map, init),
-            None => Cluster::launch(cfg, map, init),
-        }
-    }
-
-    /// [`FluentPs::launch`] with a [`TraceCollector`] attached: shards and
-    /// worker clients record trace events into `collector`.
-    pub fn launch_with_collector(
-        self,
-        init: &HashMap<u64, Vec<f32>>,
-        collector: &fluentps_obs::TraceCollector,
-    ) -> (Cluster, Vec<InprocWorker>) {
-        let map = self.plan(init);
-        let cfg = EngineConfig {
-            num_workers: self.num_workers,
-            num_servers: self.num_servers,
-            model: self.model,
-            policy: self.policy,
-            grad_scale: self.grad_scale,
-            seed: self.seed,
-        };
         let models = self
             .per_server_models
             .unwrap_or_else(|| vec![cfg.model; cfg.num_servers as usize]);
-        Cluster::launch_heterogeneous_with_collector(cfg, models, map, init, collector)
+        Cluster::launch_observed(cfg, models, map, init, &self.obs)
     }
 }
 
@@ -246,5 +233,41 @@ mod tests {
             w.spull_wait(i, &mut params).unwrap();
         }
         cluster.shutdown();
+    }
+    #[test]
+    fn obs_bundle_reaches_every_shard_and_worker() {
+        use fluentps_obs::{EventKind, TraceCollector};
+
+        let collector = TraceCollector::wall(1 << 12);
+        let (cluster, mut workers) = FluentPs::builder()
+            .workers(1)
+            .servers(2)
+            .per_server_models(vec![SyncModel::Asp, SyncModel::Ssp { s: 9 }])
+            .obs(Obs {
+                collector: Some(collector.clone()),
+                ..Obs::default()
+            })
+            .launch(&init());
+        let mut w = workers.pop().unwrap();
+        let grads: HashMap<u64, Vec<f32>> =
+            [(0u64, vec![1.0f32; 100]), (1u64, vec![2.0f32; 10])].into();
+        let mut params = HashMap::new();
+        for i in 0..3 {
+            w.spush(i, &grads).unwrap();
+            w.spull_wait(i, &mut params).unwrap();
+        }
+        let stats = cluster.shutdown();
+        let trace = collector.snapshot();
+        for m in 0..2 {
+            assert!(trace
+                .events
+                .iter()
+                .any(|e| e.kind == EventKind::PushApplied && e.shard == m));
+        }
+        assert_eq!(
+            trace.count(EventKind::PushApplied),
+            stats.iter().map(|s| s.pushes).sum::<u64>()
+        );
+        assert_eq!(trace.count(EventKind::BarrierWait), 3);
     }
 }

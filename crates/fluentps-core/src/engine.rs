@@ -11,19 +11,15 @@
 //! `fluentps-baseline` for comparison.
 
 use std::collections::HashMap;
-use std::net::SocketAddr;
 use std::thread::JoinHandle;
 
-use fluentps_obs::{
-    http, HealthEngine, HealthTap, IntrospectionServer, MetricsRegistry, ProfCollector,
-    StreamConfig, TraceCollector, TraceSource,
-};
-
+use fluentps_transport::collect::TraceStreamer;
 use fluentps_transport::inproc::{Endpoint, Fabric, InprocPostman};
 use fluentps_transport::NodeId;
 
 use crate::dpr::DprPolicy;
 use crate::eps::SliceMap;
+use crate::obs::Obs;
 use crate::serve::{self, ServerLoop};
 use crate::server::GradScale;
 use crate::stats::ShardStats;
@@ -38,7 +34,7 @@ pub struct EngineConfig {
     /// Number of servers (`M`).
     pub num_servers: u32,
     /// Synchronization model applied on every shard. (Per-shard models are
-    /// possible through [`Cluster::launch_heterogeneous`].)
+    /// possible through [`Cluster::launch_observed`].)
     pub model: SyncModel,
     /// DPR execution policy.
     pub policy: DprPolicy,
@@ -67,13 +63,9 @@ pub struct Cluster {
     fabric: Fabric,
     servers: Vec<(u32, JoinHandle<ShardStats>)>,
     num_servers: u32,
-    // Live health engine + the tap feeding it from the run's collector,
-    // when launched introspected; the tap drains and the engine is
-    // finalized at shutdown.
-    health: Option<(HealthEngine, HealthTap)>,
-    // Span-profile collector, when launched introspected: server loops and
-    // worker clients profile into it, and `/profile` serves its snapshots.
-    prof: Option<ProfCollector>,
+    // Per-worker trace streamers when streaming; final-flushed at shutdown
+    // (after the worker threads are done recording).
+    worker_streamers: Vec<TraceStreamer>,
 }
 
 /// The worker client type served by the in-process engine.
@@ -89,111 +81,25 @@ impl Cluster {
         init: &HashMap<u64, Vec<f32>>,
     ) -> (Cluster, Vec<InprocWorker>) {
         let models = vec![cfg.model; cfg.num_servers as usize];
-        Self::launch_heterogeneous(cfg, models, map, init)
+        Self::launch_observed(cfg, models, map, init, &Obs::default())
     }
 
-    /// [`Cluster::launch`] with a [`TraceCollector`]: every server shard and
-    /// worker client records trace events (wall clock) into `collector`.
-    pub fn launch_with_collector(
-        cfg: EngineConfig,
-        map: SliceMap,
-        init: &HashMap<u64, Vec<f32>>,
-        collector: &TraceCollector,
-    ) -> (Cluster, Vec<InprocWorker>) {
-        let models = vec![cfg.model; cfg.num_servers as usize];
-        Self::launch_inner(cfg, models, map, init, Some(collector), None)
-    }
-
-    /// [`Cluster::launch_with_collector`] plus a live introspection
-    /// endpoint: `registry` is served at `addr` as Prometheus text on
-    /// `/metrics`, next to `/healthz` and `/trace` (the collector's live
-    /// JSONL tail). Cluster-shape gauges are published into `registry` at
-    /// launch. Bind loopback (`127.0.0.1:0`) unless the endpoint is
-    /// deliberately exposed. The endpoint outlives the cluster until the
-    /// returned [`IntrospectionServer`] is stopped or dropped.
-    ///
-    /// A streaming [`HealthEngine`] with the default alert rules is fed
-    /// from `collector` for the lifetime of the run, so the endpoint also
-    /// serves `/slo` and `/alerts`; [`Cluster::health_engine`] exposes the
-    /// same engine in-process. The engine is finalized (last window closed,
-    /// state frozen) by [`Cluster::shutdown`].
-    pub fn launch_introspected(
-        cfg: EngineConfig,
-        map: SliceMap,
-        init: &HashMap<u64, Vec<f32>>,
-        collector: &TraceCollector,
-        registry: &MetricsRegistry,
-        addr: SocketAddr,
-    ) -> std::io::Result<(Cluster, Vec<InprocWorker>, IntrospectionServer)> {
-        let models = vec![cfg.model; cfg.num_servers as usize];
-        let prof = ProfCollector::wall();
-        let (mut cluster, workers) =
-            Self::launch_inner(cfg, models, map, init, Some(collector), Some(&prof));
-        publish_cluster_gauges(registry, "threaded", cfg.num_workers, cfg.num_servers);
-        let engine = HealthEngine::with_default_rules(StreamConfig::default());
-        let tap = engine.attach_to(collector, std::time::Duration::from_millis(20));
-        let server = http::serve_profiled(
-            addr,
-            registry.clone(),
-            Some(TraceSource::Local(collector.clone())),
-            None,
-            Some(engine.clone()),
-            Some(prof.clone()),
-        )?;
-        cluster.health = Some((engine, tap));
-        cluster.prof = Some(prof);
-        Ok((cluster, workers, server))
-    }
-
-    /// The span-profile collector attached by
-    /// [`Cluster::launch_introspected`] (`None` for the other launch paths).
-    /// Snapshot it any time — including mid-run — for folded-stack or
-    /// speedscope exports of where server and worker threads spend time.
-    pub fn prof_collector(&self) -> Option<&ProfCollector> {
-        self.prof.as_ref()
-    }
-
-    /// The live [`HealthEngine`] attached by [`Cluster::launch_introspected`]
-    /// (`None` for the other launch paths).
-    pub fn health_engine(&self) -> Option<&HealthEngine> {
-        self.health.as_ref().map(|(engine, _)| engine)
-    }
-
-    /// Like [`Cluster::launch`] but with a per-server synchronization model —
-    /// the paper's headline flexibility: "each parameter server can choose
-    /// the adaptive synchronization model to update its parameter shard".
-    pub fn launch_heterogeneous(
+    /// [`Cluster::launch`] with a synchronization model per server — the
+    /// paper's headline flexibility: "each parameter server can choose the
+    /// adaptive synchronization model to update its parameter shard" — and
+    /// with every server shard and worker client recording what `obs` asks
+    /// for.
+    pub fn launch_observed(
         cfg: EngineConfig,
         models: Vec<SyncModel>,
         map: SliceMap,
         init: &HashMap<u64, Vec<f32>>,
-    ) -> (Cluster, Vec<InprocWorker>) {
-        Self::launch_inner(cfg, models, map, init, None, None)
-    }
-
-    /// [`Cluster::launch_heterogeneous`] with a [`TraceCollector`] attached,
-    /// so per-shard models and tracing compose.
-    pub fn launch_heterogeneous_with_collector(
-        cfg: EngineConfig,
-        models: Vec<SyncModel>,
-        map: SliceMap,
-        init: &HashMap<u64, Vec<f32>>,
-        collector: &TraceCollector,
-    ) -> (Cluster, Vec<InprocWorker>) {
-        Self::launch_inner(cfg, models, map, init, Some(collector), None)
-    }
-
-    fn launch_inner(
-        cfg: EngineConfig,
-        models: Vec<SyncModel>,
-        map: SliceMap,
-        init: &HashMap<u64, Vec<f32>>,
-        collector: Option<&TraceCollector>,
-        prof: Option<&ProfCollector>,
+        obs: &Obs,
     ) -> (Cluster, Vec<InprocWorker>) {
         assert_eq!(map.num_servers(), cfg.num_servers, "map/server mismatch");
         assert_eq!(models.len(), cfg.num_servers as usize);
         let fabric = Fabric::new();
+        let ring = obs.ring();
 
         // Register workers first so servers can respond from the start.
         let mut worker_endpoints = Vec::with_capacity(cfg.num_workers as usize);
@@ -204,33 +110,32 @@ impl Cluster {
         let mut servers = Vec::with_capacity(cfg.num_servers as usize);
         for m in 0..cfg.num_servers {
             let endpoint = fabric.register(NodeId::Server(m));
-            let server = ServerLoop::launch(
-                &cfg,
-                models[m as usize],
-                m,
-                &map,
-                init,
-                collector.map(|c| c.tracer()).unwrap_or_default(),
-                prof.map(|p| p.profiler()).unwrap_or_default(),
-            );
+            let (tracer, profiler, streamer) = obs.node(NodeId::Server(m), &ring);
+            let server =
+                ServerLoop::launch(&cfg, models[m as usize], m, &map, init, tracer, profiler);
             let postman = endpoint.postman();
-            let handle = server.spawn(format!("fluentps-server-{m}"), endpoint, postman, (), None);
+            let handle = server.spawn(
+                format!("fluentps-server-{m}"),
+                endpoint,
+                postman,
+                (),
+                streamer,
+            );
             servers.push((m, handle));
         }
 
         let router = Router::new(map);
+        let mut worker_streamers = Vec::new();
         let workers = worker_endpoints
             .into_iter()
             .enumerate()
             .map(|(n, ep)| {
                 let postman = ep.postman();
                 let mut w = WorkerClient::new(n as u32, postman, ep, router.clone());
-                if let Some(c) = collector {
-                    w.set_tracer(c.tracer());
-                }
-                if let Some(p) = prof {
-                    w.set_profiler(p.profiler());
-                }
+                let (tracer, profiler, streamer) = obs.node(NodeId::Worker(n as u32), &ring);
+                worker_streamers.extend(streamer);
+                w.set_tracer(tracer);
+                w.set_profiler(profiler);
                 w
             })
             .collect();
@@ -240,8 +145,7 @@ impl Cluster {
                 fabric,
                 servers,
                 num_servers: cfg.num_servers,
-                health: None,
-                prof: None,
+                worker_streamers,
             },
             workers,
         )
@@ -249,39 +153,24 @@ impl Cluster {
 
     /// Send shutdown to every server, join their threads and return their
     /// per-shard statistics (index = server id).
+    ///
+    /// When streaming, call after the worker threads have finished: the
+    /// workers' trace streamers final-flush here.
     pub fn shutdown(self) -> Vec<ShardStats> {
+        for s in self.worker_streamers {
+            s.stop();
+        }
         // A synthetic scheduler identity delivers the shutdown.
         let ctl = self.fabric.register(NodeId::Scheduler);
-        let stats = serve::drain(&ctl.postman(), self.num_servers, self.servers, None);
-        // Drain the last recorded events into the health engine, then close
-        // its final window so `/slo` reflects the completed run.
-        if let Some((engine, tap)) = self.health {
-            tap.stop();
-            engine.finish();
-        }
-        stats
+        serve::drain(&ctl.postman(), self.num_servers, self.servers, None)
     }
-}
-
-/// Static cluster-shape gauges every introspected engine publishes, so a
-/// bare `/metrics` scrape identifies what is running before any traffic.
-pub(crate) fn publish_cluster_gauges(
-    registry: &MetricsRegistry,
-    engine: &str,
-    workers: u32,
-    servers: u32,
-) {
-    let scope = registry.scope().with("engine", engine);
-    scope.set_gauge("cluster_workers", workers as f64);
-    scope.set_gauge("cluster_servers", servers as f64);
-    scope.set_gauge("cluster_up", 1.0);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::eps::{EpsSlicer, ParamSpec, Slicer};
-    use fluentps_obs::EventKind;
+    use fluentps_obs::{EventKind, TraceCollector};
 
     fn model_params() -> (Vec<ParamSpec>, HashMap<u64, Vec<f32>>) {
         let specs = vec![ParamSpec { key: 0, len: 8 }, ParamSpec { key: 1, len: 4 }];
@@ -345,11 +234,12 @@ mod tests {
             num_servers: 2,
             ..EngineConfig::default()
         };
-        let (cluster, mut workers) = Cluster::launch_heterogeneous(
+        let (cluster, mut workers) = Cluster::launch_observed(
             cfg,
             vec![SyncModel::Asp, SyncModel::Ssp { s: 5 }],
             map,
             &init,
+            &Obs::default(),
         );
         let mut w = workers.pop().unwrap();
         let grads: HashMap<u64, Vec<f32>> =
@@ -374,7 +264,12 @@ mod tests {
             ..EngineConfig::default()
         };
         let collector = TraceCollector::wall(4096);
-        let (cluster, mut workers) = Cluster::launch_with_collector(cfg, map, &init, &collector);
+        let obs = Obs {
+            collector: Some(collector.clone()),
+            ..Obs::default()
+        };
+        let (cluster, mut workers) =
+            Cluster::launch_observed(cfg, vec![cfg.model; 2], map, &init, &obs);
 
         let mut grads = HashMap::new();
         grads.insert(0u64, vec![1.0f32; 8]);

@@ -34,6 +34,7 @@
 //! * [`engine`] — a threaded in-process runtime gluing transports to shards
 //!   (overlap synchronization falls out of servers answering independently);
 //!   [`tcp_engine`] and [`recovery`] run the same server loop over TCP.
+//!   Each runtime takes one [`obs::Obs`] bundle saying what it records.
 //! * [`scheduler`] — the minimal scheduler: liveness and key ranges only.
 //!
 //! ## Quick start
@@ -78,6 +79,7 @@ pub mod engine;
 pub mod eps;
 pub mod filter;
 pub mod key;
+pub mod obs;
 pub mod progress;
 pub mod pssp;
 pub mod recovery;
@@ -92,4 +94,5 @@ pub mod worker;
 pub use condition::{SyncModel, SyncPolicy, SyncState};
 pub use dpr::DprPolicy;
 pub use eps::{ParamSpec, Placement, SliceMap, Slicer};
+pub use obs::Obs;
 pub use server::{PullOutcome, ReleasedPull, ServerShard, ShardConfig};

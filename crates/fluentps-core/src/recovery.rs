@@ -40,7 +40,6 @@
 //! replay bit-for-bit across runs.
 
 use std::collections::{BTreeSet, HashMap};
-use std::net::SocketAddr;
 use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -48,12 +47,12 @@ use std::time::{Duration, Instant};
 
 use fluentps_obs::{
     ConsensusHealth, EventKind, HealthEngine, HealthTap, HealthView, MetricsRegistry, NodeHealth,
-    Profiler, RecordArgs, TraceCollector, Tracer,
+    RecordArgs, TraceCollector, Tracer,
 };
 use fluentps_util::rng::StdRng;
 use fluentps_util::sync::Mutex;
 
-use fluentps_transport::collect::{StreamerConfig, TraceStreamer};
+use fluentps_transport::collect::TraceStreamer;
 use fluentps_transport::fault::{FaultInjector, FaultPlan, FaultyMailbox, FaultyPostman};
 use fluentps_transport::tcp::{AddressBook, TcpNode, TcpPostman};
 use fluentps_transport::{
@@ -64,9 +63,11 @@ use crate::checkpoint::ShardCheckpoint;
 use crate::consensus::{ConsensusConfig, ControlCommand, LogEntry, Replica};
 use crate::engine::EngineConfig;
 use crate::eps::{EpsSlicer, SliceMap};
+use crate::obs::Obs;
 use crate::scheduler::LivenessMonitor;
 use crate::serve::{self, new_shard, CheckpointStore, Recovery, ServerLoop, WorkerWindow};
 use crate::stats::ShardStats;
+use crate::tcp_engine::{bind_server, TcpWiring};
 use crate::worker::{RetryPolicy, Router, WorkerClient};
 
 /// Worker client type of the resilient runtime: TCP halves wrapped in the
@@ -199,17 +200,6 @@ pub struct RecoveryConfig {
     pub retry: RetryPolicy,
     /// Seeded fault schedule applied to all worker/server messaging.
     pub fault_plan: FaultPlan,
-    /// When set, every node — each server loop, each worker client, the
-    /// supervisor — records into its *own* wall-clock [`TraceCollector`]
-    /// and streams its ring to the trace collector service at this
-    /// address (see `fluentps_transport::collect`). Distinct per-node
-    /// epochs are the point: the collection protocol's clock-offset
-    /// handshake aligns them onto one cluster timeline. When a collector
-    /// address is set, any in-process collector passed to
-    /// [`ResilientTcpCluster::launch`] is ignored.
-    pub collector_addr: Option<SocketAddr>,
-    /// Per-node ring capacity (events) when `collector_addr` is set.
-    pub trace_ring_capacity: usize,
     /// Number of supervisor replicas forming the control-plane quorum.
     /// 1 (the default) is solo mode — instant leadership, instant commit,
     /// the exact pre-quorum behavior on the same code path. 3+ survives
@@ -231,11 +221,11 @@ pub struct RecoveryConfig {
     /// HELP lines) into this registry.
     pub metrics: Option<MetricsRegistry>,
     /// Streaming health engine to feed with this run's trace events. With
-    /// an in-process collector (`collector_addr` unset, a collector passed
-    /// to [`ResilientTcpCluster::launch`]) the cluster spawns a
-    /// [`HealthTap`] draining that collector into the engine and stops it
-    /// at shutdown. With `collector_addr` set, feeding is the collector
-    /// service's job — attach the same engine there (see
+    /// an in-process collector ([`Obs::collector`] set, [`Obs::stream_to`]
+    /// unset) the cluster spawns a [`HealthTap`] draining that collector
+    /// into the engine, and at shutdown drains the supervisors' recovery
+    /// events into it before finishing it. When streaming, feeding is the
+    /// collector service's job — attach the same engine there (see
     /// `fluentps_transport::CollectorService::attach_health`); the cluster
     /// never double-feeds.
     pub health_engine: Option<HealthEngine>,
@@ -251,8 +241,6 @@ impl Default for RecoveryConfig {
             spawn_replacement: true,
             retry: RetryPolicy::default(),
             fault_plan: FaultPlan::passthrough(),
-            collector_addr: None,
-            trace_ring_capacity: 1 << 14,
             num_supervisors: 1,
             kill_supervisors: Vec::new(),
             election_timeout: Duration::from_millis(300),
@@ -293,25 +281,6 @@ impl RecoveryConfig {
     }
 }
 
-/// Per-node tracing setup: either a handle into the shared in-process
-/// collector, or (when streaming) a private collector plus the streamer
-/// shipping its ring to the collection service.
-fn node_tracing(
-    rcfg: &RecoveryConfig,
-    shared: &Tracer,
-    node: NodeId,
-) -> (Tracer, Option<TraceStreamer>) {
-    match rcfg.collector_addr {
-        Some(addr) => {
-            let col = TraceCollector::wall(rcfg.trace_ring_capacity);
-            let tracer = col.tracer();
-            let streamer = TraceStreamer::start(node, &col, addr, StreamerConfig::default());
-            (tracer, Some(streamer))
-        }
-        None => (shared.clone(), None),
-    }
-}
-
 /// Handle to a running fault-tolerant TCP cluster.
 pub struct ResilientTcpCluster {
     supervisors: Vec<JoinHandle<Vec<ShardStats>>>,
@@ -336,8 +305,8 @@ pub struct ResilientTcpCluster {
     liveness_timeout: Duration,
     num_supervisors: u32,
     /// Tap feeding [`RecoveryConfig::health_engine`] from the in-process
-    /// collector (only when `collector_addr` is unset); drained at
-    /// shutdown, before the engine is finalized.
+    /// collector (only when not streaming); drained at shutdown, before
+    /// the engine is finalized.
     health_tap: Option<(HealthEngine, HealthTap)>,
     /// Where each node listens; shared live with every postman, so a
     /// replacement server becomes reachable the moment it rebinds.
@@ -345,7 +314,8 @@ pub struct ResilientTcpCluster {
 }
 
 impl ResilientTcpCluster {
-    /// Launch servers, a supervisor and fault-wrapped worker clients.
+    /// Launch servers, a supervisor and fault-wrapped worker clients; with
+    /// a `collector`, every node records into it.
     pub fn launch(
         cfg: EngineConfig,
         rcfg: RecoveryConfig,
@@ -353,53 +323,41 @@ impl ResilientTcpCluster {
         init: &HashMap<u64, Vec<f32>>,
         collector: Option<&TraceCollector>,
     ) -> Result<(ResilientTcpCluster, Vec<ResilientWorker>), TransportError> {
+        let obs = Obs {
+            collector: collector.cloned(),
+            ..Obs::default()
+        };
+        Self::launch_observed(cfg, rcfg, map, init, &obs)
+    }
+
+    /// [`ResilientTcpCluster::launch`] with every node — server loops,
+    /// replacement servers, worker clients, supervisor replicas and
+    /// sockets — recording what `obs` asks for.
+    pub fn launch_observed(
+        cfg: EngineConfig,
+        rcfg: RecoveryConfig,
+        map: SliceMap,
+        init: &HashMap<u64, Vec<f32>>,
+        obs: &Obs,
+    ) -> Result<(ResilientTcpCluster, Vec<ResilientWorker>), TransportError> {
         assert_eq!(map.num_servers(), cfg.num_servers, "map/server mismatch");
         if let Err(e) = rcfg.validate() {
             panic!("invalid RecoveryConfig: {e}");
         }
-        let loopback: SocketAddr = "127.0.0.1:0".parse().expect("loopback");
-        let tracer = collector.map(|c| c.tracer()).unwrap_or_default();
+        // The supervisor replicas bind first, so server heartbeats always
+        // have an address to dial.
+        let wiring = TcpWiring::bind(&cfg, rcfg.num_supervisors, obs)?;
+        let ring = obs.ring();
         let injector = FaultInjector::new(rcfg.fault_plan.clone());
         let store: CheckpointStore = Arc::new(Mutex::new(HashMap::new()));
         let health = HealthView::new();
-
-        let book = AddressBook::new();
-        // The supervisor replicas' endpoints first, so server heartbeats
-        // always have an address to dial.
-        let mut supervisor_nodes = Vec::new();
-        for k in 0..rcfg.num_supervisors {
-            let node = TcpNode::bind(NodeId::Supervisor(k), loopback, book.clone())?;
-            book.insert(NodeId::Supervisor(k), node.local_addr());
-            supervisor_nodes.push(node);
-        }
-
-        let mut server_rx = Vec::new();
-        for m in 0..cfg.num_servers {
-            let node = TcpNode::bind(NodeId::Server(m), loopback, book.clone())?;
-            book.insert(NodeId::Server(m), node.local_addr());
-            server_rx.push(node);
-        }
-        let mut worker_nodes = Vec::new();
-        for n in 0..cfg.num_workers {
-            let node = TcpNode::bind(NodeId::Worker(n), loopback, book.clone())?;
-            book.insert(NodeId::Worker(n), node.local_addr());
-            worker_nodes.push(node);
-        }
+        let book = wiring.book;
 
         let stop = Arc::new(AtomicBool::new(false));
         let mut handles = Vec::with_capacity(cfg.num_servers as usize);
-        for (m, rx) in server_rx.into_iter().enumerate() {
-            let m = m as u32;
-            let (server_tracer, server_streamer) = node_tracing(&rcfg, &tracer, NodeId::Server(m));
-            let mut server = ServerLoop::launch(
-                &cfg,
-                cfg.model,
-                m,
-                &map,
-                init,
-                server_tracer,
-                Profiler::default(),
-            );
+        for (m, (rx, tx)) in (0..).zip(wiring.servers) {
+            let (tracer, profiler, streamer) = obs.node(NodeId::Server(m), &ring);
+            let mut server = ServerLoop::launch(&cfg, cfg.model, m, &map, init, tracer, profiler);
             let mut keys: Vec<u64> = map
                 .placements()
                 .iter()
@@ -417,41 +375,31 @@ impl ResilientTcpCluster {
                 Arc::clone(&store),
                 Arc::clone(&stop),
             ));
-            let tx = TcpNode::bind(
-                NodeId::Server(cfg.num_servers + 1 + m),
-                loopback,
-                book.clone(),
-            )?;
-            handles.push((m, spawn_server(server, rx, tx, &injector, server_streamer)));
+            handles.push((m, spawn_server(server, rx, tx, &injector, streamer)));
         }
 
         let router = Router::new(map.clone());
         let mut worker_streamers = Vec::new();
-        let workers: Vec<ResilientWorker> = worker_nodes
-            .into_iter()
-            .enumerate()
+        let workers: Vec<ResilientWorker> = (0..)
+            .zip(wiring.workers)
             .map(|(n, node)| {
-                let n = n as u32;
                 let postman = injector.postman(NodeId::Worker(n), node.postman());
                 let mailbox = injector.mailbox(NodeId::Worker(n), node);
                 let mut w = WorkerClient::new(n, postman, mailbox, router.clone());
-                let (worker_tracer, worker_streamer) =
-                    node_tracing(&rcfg, &tracer, NodeId::Worker(n));
-                worker_streamers.extend(worker_streamer);
-                w.set_tracer(worker_tracer);
+                let (tracer, profiler, streamer) = obs.node(NodeId::Worker(n), &ring);
+                worker_streamers.extend(streamer);
+                w.set_tracer(tracer);
+                w.set_profiler(profiler);
                 w.set_retry_policy(rcfg.retry.clone());
                 w
             })
             .collect();
 
-        let control_node = TcpNode::bind(NodeId::Worker(u32::MAX), loopback, book.clone())?;
-        let control = control_node.postman();
-
         // Feed the health engine from the shared in-process collector. When
         // streaming to a collector service instead, that service owns the
         // feed (ClusterCollector::attach_health) — spawning a second tap
         // here would double-count every event.
-        let health_tap = match (&rcfg.health_engine, collector, rcfg.collector_addr) {
+        let health_tap = match (&rcfg.health_engine, &obs.collector, obs.stream_to) {
             (Some(engine), Some(col), None) => {
                 let tap = engine.attach_to(col, Duration::from_millis(10));
                 Some((engine.clone(), tap))
@@ -487,8 +435,7 @@ impl ResilientTcpCluster {
         }));
         let mut supervisors = Vec::with_capacity(rcfg.num_supervisors as usize);
         let mut supervisor_streamers = Vec::new();
-        for (k, node) in supervisor_nodes.into_iter().enumerate() {
-            let k = k as u32;
+        for (k, node) in (0..).zip(wiring.supervisors) {
             // Replica 0 keeps the historical `scheduler` trace identity so
             // merged timelines stay comparable across cluster flavors;
             // extra replicas stream under their own supervisor id.
@@ -497,7 +444,7 @@ impl ResilientTcpCluster {
             } else {
                 NodeId::Supervisor(k)
             };
-            let (sup_tracer, sup_streamer) = node_tracing(&rcfg, &tracer, trace_id);
+            let (sup_tracer, _, sup_streamer) = obs.node(trace_id, &ring);
             supervisor_streamers.extend(sup_streamer);
             let replica = SupervisorReplica {
                 id: k,
@@ -506,10 +453,10 @@ impl ResilientTcpCluster {
                 book: book.clone(),
                 map: map.clone(),
                 injector: injector.clone(),
+                obs: obs.clone(),
                 tracer: sup_tracer,
                 store: Arc::clone(&store),
                 shared: Arc::clone(&shared),
-                loopback,
                 generation: 0,
                 health: health.clone(),
                 board: board.clone(),
@@ -537,8 +484,8 @@ impl ResilientTcpCluster {
         Ok((
             ResilientTcpCluster {
                 supervisors,
-                control,
-                _control_node: control_node,
+                control: wiring.control.postman(),
+                _control_node: wiring.control,
                 injector,
                 health,
                 worker_streamers,
@@ -562,7 +509,7 @@ impl ResilientTcpCluster {
 
     /// The readiness view fed by the supervisor's liveness monitor; attach
     /// it to an introspection endpoint via
-    /// `fluentps_obs::http::serve_with_health`.
+    /// `fluentps_obs::http::serve_observed`.
     pub fn health(&self) -> HealthView {
         self.health.clone()
     }
@@ -701,10 +648,14 @@ struct SupervisorReplica {
     /// identical maps at equal applied indices.
     map: SliceMap,
     injector: FaultInjector,
+    /// What every node records; a replacement server gets its handles
+    /// from here like the originals did.
+    obs: Obs,
+    /// This replica's own tracer. Without streaming it is the launch's
+    /// shared ring, which a replacement server records into too.
     tracer: Tracer,
     store: CheckpointStore,
     shared: SharedState,
-    loopback: SocketAddr,
     generation: u64,
     health: HealthView,
     board: ConsensusBoard,
@@ -991,25 +942,17 @@ impl SupervisorReplica {
         let Ok(cp) = ShardCheckpoint::from_bytes(bytes.clone()) else {
             return false;
         };
-        let Ok(rx) = TcpNode::bind(NodeId::Server(m), self.loopback, self.book.clone()) else {
+        let Ok((rx, tx)) = bind_server(&self.cfg, m, &self.book, &self.obs) else {
             return false;
         };
-        let Ok(tx) = TcpNode::bind(
-            NodeId::Server(self.cfg.num_servers + 1 + m),
-            self.loopback,
-            self.book.clone(),
-        ) else {
-            return false;
-        };
-        // Publishing the new address is what lets every worker's postman
-        // redial the replacement after its old connection errors out.
-        self.book.insert(NodeId::Server(m), rx.local_addr());
 
         let mut shard = new_shard(&self.cfg, self.cfg.model, m);
-        // The replacement gets its own collector+streamer: on the merged
-        // timeline it is a new incarnation of `serverM` (the collector folds
-        // the restarted batch sequence into the same per-node accounting).
-        let (rep_tracer, rep_streamer) = node_tracing(&self.rcfg, &self.tracer, NodeId::Server(m));
+        // A streaming replacement gets its own collector+streamer: on the
+        // merged timeline it is a new incarnation of `serverM` (the
+        // collector folds the restarted batch sequence into the same
+        // per-node accounting).
+        let (rep_tracer, rep_profiler, rep_streamer) =
+            self.obs.node(NodeId::Server(m), &self.tracer);
         shard.set_tracer(rep_tracer.clone());
         cp.restore_into(&mut shard);
         let keys = cp.params.keys.clone();
@@ -1047,7 +990,7 @@ impl SupervisorReplica {
             shard,
             rng,
             tracer: rep_tracer,
-            profiler: Profiler::default(),
+            profiler: rep_profiler,
             // The kill switch simulates *one* crash. A replacement
             // inheriting it would re-die the moment a replayed push brings
             // `V_train` back to the threshold, restoring the same
@@ -1184,8 +1127,6 @@ mod tests {
                 replay_depth: 16,
             },
             fault_plan: FaultPlan::passthrough(),
-            collector_addr: None,
-            trace_ring_capacity: 1 << 10,
             election_timeout: Duration::from_millis(120),
             leader_lease: Duration::from_millis(60),
             ..RecoveryConfig::default()
@@ -1275,10 +1216,18 @@ mod tests {
         let (cfg, map, init) = two_server_setup();
         let mut service = CollectorService::bind("127.0.0.1:0".parse().unwrap(), 1 << 12)
             .expect("bind collector");
-        let mut rcfg = fast_recovery(Some((0, 2)), true);
-        rcfg.collector_addr = Some(service.local_addr());
-        let (cluster, mut workers) =
-            ResilientTcpCluster::launch(cfg, rcfg, map, &init, None).expect("launch");
+        let obs = Obs {
+            stream_to: Some((service.local_addr(), 1 << 10)),
+            ..Obs::default()
+        };
+        let (cluster, mut workers) = ResilientTcpCluster::launch_observed(
+            cfg,
+            fast_recovery(Some((0, 2)), true),
+            map,
+            &init,
+            &obs,
+        )
+        .expect("launch");
         let mut w = workers.remove(0);
         let grads: HashMap<u64, Vec<f32>> =
             [(0u64, vec![1.0f32; 4]), (1u64, vec![1.0f32; 4])].into();

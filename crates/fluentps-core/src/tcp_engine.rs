@@ -7,29 +7,108 @@
 //! module) without its recovery part, receiving on its own node and
 //! replying through a sender node; the TCP postman coalesces each handled
 //! message's replies into one write per worker. Workers use the same
-//! [`WorkerClient`] with TCP halves.
+//! [`WorkerClient`] with TCP halves. One wiring routine (`TcpWiring`)
+//! binds every socket of this runtime and of [`crate::recovery`].
 
 use std::collections::HashMap;
 use std::net::SocketAddr;
 use std::thread::JoinHandle;
 
-use fluentps_obs::{
-    http, HealthEngine, HealthTap, IntrospectionServer, MetricsRegistry, ProfCollector,
-    StreamConfig, TraceCollector, TraceSource, Tracer,
-};
+use fluentps_obs::{ProfCollector, Tracer};
 
-use fluentps_transport::collect::{StreamerConfig, TraceStreamer};
+use fluentps_transport::collect::TraceStreamer;
 use fluentps_transport::tcp::{AddressBook, TcpNode, TcpPostman};
 use fluentps_transport::{NodeId, TransportError};
 
 use crate::engine::EngineConfig;
 use crate::eps::SliceMap;
+use crate::obs::Obs;
 use crate::serve::{self, ServerLoop};
 use crate::stats::ShardStats;
 use crate::worker::{Router, WorkerClient};
 
 /// The worker client type served by the TCP engine.
 pub type TcpWorker = WorkerClient<TcpPostman, TcpNode>;
+
+/// Bind `node` on an OS-chosen loopback port. Sockets never trace (the
+/// server loop and worker client record the wire events); with a profiler
+/// in `obs` they run frame encode/decode under `wire/*` spans.
+fn bind_node(node: NodeId, book: &AddressBook, obs: &Obs) -> Result<TcpNode, TransportError> {
+    let loopback: SocketAddr = "127.0.0.1:0".parse().expect("loopback");
+    let profiler = obs
+        .profiler
+        .as_ref()
+        .map(ProfCollector::profiler)
+        .unwrap_or_default();
+    TcpNode::bind_profiled(node, loopback, book.clone(), Tracer::disabled(), profiler)
+}
+
+/// Bind server `m`'s receive node and its sender node, then publish the
+/// receive address in `book` (a replacement server's new address is what
+/// lets every worker's postman redial it). Sender ids live above the real
+/// server range so they never collide.
+pub(crate) fn bind_server(
+    cfg: &EngineConfig,
+    m: u32,
+    book: &AddressBook,
+    obs: &Obs,
+) -> Result<(TcpNode, TcpNode), TransportError> {
+    let rx = bind_node(NodeId::Server(m), book, obs)?;
+    let tx = bind_node(NodeId::Server(cfg.num_servers + 1 + m), book, obs)?;
+    book.insert(NodeId::Server(m), rx.local_addr());
+    Ok((rx, tx))
+}
+
+/// Every socket of a TCP cluster. The book is shared live by every node
+/// bound from it, so each listening node is reachable the moment it is
+/// published.
+pub(crate) struct TcpWiring {
+    pub(crate) book: AddressBook,
+    pub(crate) supervisors: Vec<TcpNode>,
+    /// Per server: the receive node and the sender node.
+    pub(crate) servers: Vec<(TcpNode, TcpNode)>,
+    pub(crate) workers: Vec<TcpNode>,
+    /// Delivers `Shutdown` to the servers (and supervisors).
+    pub(crate) control: TcpNode,
+}
+
+impl TcpWiring {
+    /// Bind `supervisors` supervisor replicas, every server's two nodes,
+    /// the workers and the control node.
+    ///
+    /// Every node is bound before the caller spawns any thread: a launch
+    /// whose bind fails returns the error with nothing running, and the
+    /// nodes bound so far close as they drop.
+    pub(crate) fn bind(
+        cfg: &EngineConfig,
+        supervisors: u32,
+        obs: &Obs,
+    ) -> Result<TcpWiring, TransportError> {
+        let book = AddressBook::new();
+        let listen = |node: NodeId| -> Result<TcpNode, TransportError> {
+            let n = bind_node(node, &book, obs)?;
+            book.insert(node, n.local_addr());
+            Ok(n)
+        };
+        let supervisors = (0..supervisors)
+            .map(|k| listen(NodeId::Supervisor(k)))
+            .collect::<Result<_, _>>()?;
+        let servers = (0..cfg.num_servers)
+            .map(|m| bind_server(cfg, m, &book, obs))
+            .collect::<Result<_, _>>()?;
+        let workers = (0..cfg.num_workers)
+            .map(|n| listen(NodeId::Worker(n)))
+            .collect::<Result<_, _>>()?;
+        let control = bind_node(NodeId::Scheduler, &book, obs)?;
+        Ok(TcpWiring {
+            book,
+            supervisors,
+            servers,
+            workers,
+            control,
+        })
+    }
+}
 
 /// Handle to a running TCP cluster (all nodes on loopback unless configured
 /// otherwise).
@@ -40,16 +119,9 @@ pub struct TcpCluster {
     // would mark its postman disconnected.
     _control_node: TcpNode,
     num_servers: u32,
-    // Per-worker trace streamers when launched collected; final-flushed at
-    // shutdown (after the worker threads are done recording).
+    // Per-worker trace streamers when streaming; final-flushed at shutdown
+    // (after the worker threads are done recording).
     worker_streamers: Vec<TraceStreamer>,
-    // Live health engine + its collector tap when launched introspected;
-    // drained and finalized at shutdown.
-    health: Option<(HealthEngine, HealthTap)>,
-    // Span-profile collector when launched introspected: server loops,
-    // worker clients and the nodes' wire encode/decode paths profile into
-    // it, and `/profile` serves its snapshots.
-    prof: Option<ProfCollector>,
     /// Where each node listens (exported so external processes could join).
     pub addresses: AddressBook,
 }
@@ -62,169 +134,25 @@ impl TcpCluster {
         map: SliceMap,
         init: &HashMap<u64, Vec<f32>>,
     ) -> Result<(TcpCluster, Vec<TcpWorker>), TransportError> {
-        Self::launch_profiled(cfg, map, init, None, None, None)
+        Self::launch_observed(cfg, map, init, &Obs::default())
     }
 
-    /// [`TcpCluster::launch`] with a [`TraceCollector`]: shards, server
-    /// loops and worker clients record trace events (wall clock).
-    pub fn launch_with_collector(
+    /// [`TcpCluster::launch`] with every server loop, worker client and
+    /// socket recording what `obs` asks for.
+    pub fn launch_observed(
         cfg: EngineConfig,
         map: SliceMap,
         init: &HashMap<u64, Vec<f32>>,
-        collector: &TraceCollector,
+        obs: &Obs,
     ) -> Result<(TcpCluster, Vec<TcpWorker>), TransportError> {
-        Self::launch_profiled(cfg, map, init, Some(collector), None, None)
-    }
-
-    /// Launch with *cluster-wide trace collection*: every server loop and
-    /// worker client gets its own wall-clock [`TraceCollector`] of
-    /// `ring_capacity` events and a [`TraceStreamer`] shipping them to the
-    /// [`fluentps_transport::CollectorService`] at `collector_addr`, where
-    /// they are clock-aligned and merged onto one timeline.
-    pub fn launch_collected(
-        cfg: EngineConfig,
-        map: SliceMap,
-        init: &HashMap<u64, Vec<f32>>,
-        collector_addr: SocketAddr,
-        ring_capacity: usize,
-    ) -> Result<(TcpCluster, Vec<TcpWorker>), TransportError> {
-        Self::launch_profiled(
-            cfg,
-            map,
-            init,
-            None,
-            Some((collector_addr, ring_capacity)),
-            None,
-        )
-    }
-
-    /// [`TcpCluster::launch_with_collector`] plus a live introspection
-    /// endpoint serving `registry` at `addr` (`/metrics`, `/healthz`,
-    /// `/trace`, `/slo`, `/alerts`). Cluster-shape gauges are published at
-    /// launch; bind loopback (`127.0.0.1:0`) unless the endpoint is
-    /// deliberately exposed.
-    ///
-    /// A streaming [`HealthEngine`] with the default alert rules is fed
-    /// from `collector` for the lifetime of the run and finalized by
-    /// [`TcpCluster::shutdown`]; [`TcpCluster::health_engine`] exposes it
-    /// in-process.
-    pub fn launch_introspected(
-        cfg: EngineConfig,
-        map: SliceMap,
-        init: &HashMap<u64, Vec<f32>>,
-        collector: &TraceCollector,
-        registry: &MetricsRegistry,
-        addr: SocketAddr,
-    ) -> Result<(TcpCluster, Vec<TcpWorker>, IntrospectionServer), TransportError> {
-        let prof = ProfCollector::wall();
-        let (mut cluster, workers) =
-            Self::launch_profiled(cfg, map, init, Some(collector), None, Some(&prof))?;
-        crate::engine::publish_cluster_gauges(registry, "tcp", cfg.num_workers, cfg.num_servers);
-        let engine = HealthEngine::with_default_rules(StreamConfig::default());
-        let tap = engine.attach_to(collector, std::time::Duration::from_millis(20));
-        let server = http::serve_profiled(
-            addr,
-            registry.clone(),
-            Some(TraceSource::Local(collector.clone())),
-            None,
-            Some(engine.clone()),
-            Some(prof.clone()),
-        )?;
-        cluster.health = Some((engine, tap));
-        cluster.prof = Some(prof);
-        Ok((cluster, workers, server))
-    }
-
-    /// The span-profile collector attached by
-    /// [`TcpCluster::launch_introspected`] (`None` for the other launch
-    /// paths). Snapshot it any time — including mid-run — for folded-stack
-    /// or speedscope exports covering server loop phases, worker client
-    /// phases and frame encode/decode.
-    pub fn prof_collector(&self) -> Option<&ProfCollector> {
-        self.prof.as_ref()
-    }
-
-    /// The live [`HealthEngine`] attached by
-    /// [`TcpCluster::launch_introspected`] (`None` for the other launch
-    /// paths).
-    pub fn health_engine(&self) -> Option<&HealthEngine> {
-        self.health.as_ref().map(|(engine, _)| engine)
-    }
-
-    fn launch_profiled(
-        cfg: EngineConfig,
-        map: SliceMap,
-        init: &HashMap<u64, Vec<f32>>,
-        collector: Option<&TraceCollector>,
-        stream_to: Option<(SocketAddr, usize)>,
-        prof: Option<&ProfCollector>,
-    ) -> Result<(TcpCluster, Vec<TcpWorker>), TransportError> {
-        // Per-node tracing when streaming to a cluster collector: each node
-        // gets its own collector (distinct clock epochs make the offset
-        // handshake meaningful) plus a streamer shipping its ring. With a
-        // profile collector attached, the streamer's drains profile too.
-        let node_tracing = |node: NodeId| -> (Tracer, Option<TraceStreamer>) {
-            match stream_to {
-                Some((addr, capacity)) => {
-                    let col = TraceCollector::wall(capacity);
-                    let tracer = col.tracer();
-                    let streamer = TraceStreamer::start_profiled(
-                        node,
-                        &col,
-                        addr,
-                        StreamerConfig::default(),
-                        prof.map(|p| p.profiler()).unwrap_or_default(),
-                    );
-                    (tracer, Some(streamer))
-                }
-                None => (collector.map(|c| c.tracer()).unwrap_or_default(), None),
-            }
-        };
-        let loopback: SocketAddr = "127.0.0.1:0".parse().expect("loopback");
-        // Every socket a profiled cluster binds shares the one profile
-        // collector, so frame encode/decode shows up as `wire/*` spans.
-        let bind_node = |node: NodeId, book: AddressBook| -> Result<TcpNode, TransportError> {
-            match prof {
-                Some(p) => {
-                    TcpNode::bind_profiled(node, loopback, book, Tracer::disabled(), p.profiler())
-                }
-                None => TcpNode::bind(node, loopback, book),
-            }
-        };
         assert_eq!(map.num_servers(), cfg.num_servers, "map/server mismatch");
+        let wiring = TcpWiring::bind(&cfg, 0, obs)?;
+        let ring = obs.ring();
 
-        // Bind every node first so the final address book is complete, then
-        // hand each node the finished book (TcpNode snapshots it at bind, so
-        // bind receive-only nodes first and sender nodes after).
-        let book = AddressBook::new();
-        let mut server_rx = Vec::new();
-        for m in 0..cfg.num_servers {
-            let node = bind_node(NodeId::Server(m), AddressBook::new())?;
-            book.insert(NodeId::Server(m), node.local_addr());
-            server_rx.push(node);
-        }
-        let mut worker_nodes = Vec::new();
-        for n in 0..cfg.num_workers {
-            let node = bind_node(NodeId::Worker(n), book.clone())?;
-            book.insert(NodeId::Worker(n), node.local_addr());
-            worker_nodes.push(node);
-        }
-        // Each server gets a sender identity with the complete book. Sender
-        // ids live above the real server range so they never collide.
         let mut servers = Vec::with_capacity(cfg.num_servers as usize);
-        for (m, rx) in server_rx.into_iter().enumerate() {
-            let m = m as u32;
-            let tx = bind_node(NodeId::Server(cfg.num_servers + 1 + m), book.clone())?;
-            let (tracer, streamer) = node_tracing(NodeId::Server(m));
-            let server = ServerLoop::launch(
-                &cfg,
-                cfg.model,
-                m,
-                &map,
-                init,
-                tracer,
-                prof.map(|p| p.profiler()).unwrap_or_default(),
-            );
+        for (m, (rx, tx)) in (0..).zip(wiring.servers) {
+            let (tracer, profiler, streamer) = obs.node(NodeId::Server(m), &ring);
+            let server = ServerLoop::launch(&cfg, cfg.model, m, &map, init, tracer, profiler);
             let postman = tx.postman();
             let handle = server.spawn(
                 format!("fluentps-tcp-server-{m}"),
@@ -237,22 +165,16 @@ impl TcpCluster {
         }
 
         let router = Router::new(map);
-        let control_node = bind_node(NodeId::Scheduler, book.clone())?;
-        let control = control_node.postman();
-
         let mut worker_streamers = Vec::new();
-        let workers = worker_nodes
-            .into_iter()
-            .enumerate()
+        let workers = (0..)
+            .zip(wiring.workers)
             .map(|(n, node)| {
                 let postman = node.postman();
-                let mut w = WorkerClient::new(n as u32, postman, node, router.clone());
-                let (tracer, streamer) = node_tracing(NodeId::Worker(n as u32));
+                let mut w = WorkerClient::new(n, postman, node, router.clone());
+                let (tracer, profiler, streamer) = obs.node(NodeId::Worker(n), &ring);
                 worker_streamers.extend(streamer);
                 w.set_tracer(tracer);
-                if let Some(p) = prof {
-                    w.set_profiler(p.profiler());
-                }
+                w.set_profiler(profiler);
                 w
             })
             .collect();
@@ -260,13 +182,11 @@ impl TcpCluster {
         Ok((
             TcpCluster {
                 servers,
-                control,
-                _control_node: control_node,
+                control: wiring.control.postman(),
+                _control_node: wiring.control,
                 num_servers: cfg.num_servers,
                 worker_streamers,
-                health: None,
-                prof: None,
-                addresses: book,
+                addresses: wiring.book,
             },
             workers,
         ))
@@ -274,20 +194,13 @@ impl TcpCluster {
 
     /// Send shutdown to every server and collect their statistics.
     ///
-    /// For collected launches, call after the worker threads have finished:
-    /// the workers' trace streamers final-flush here.
+    /// When streaming, call after the worker threads have finished: the
+    /// workers' trace streamers final-flush here.
     pub fn shutdown(self) -> Vec<ShardStats> {
         for s in self.worker_streamers {
             s.stop();
         }
-        let stats = serve::drain(&self.control, self.num_servers, self.servers, None);
-        // Drain the servers' final events into the health engine, then
-        // close its last window so `/slo` reflects the completed run.
-        if let Some((engine, tap)) = self.health {
-            tap.stop();
-            engine.finish();
-        }
-        stats
+        serve::drain(&self.control, self.num_servers, self.servers, None)
     }
 }
 
@@ -296,7 +209,7 @@ mod tests {
     use super::*;
     use crate::condition::SyncModel;
     use crate::eps::{EpsSlicer, ParamSpec, Slicer};
-    use fluentps_obs::EventKind;
+    use fluentps_obs::{EventKind, TraceCollector};
 
     #[test]
     fn tcp_cluster_runs_bsp_training_round_trips() {
@@ -351,8 +264,12 @@ mod tests {
             ..EngineConfig::default()
         };
         let collector = TraceCollector::wall(1024);
+        let obs = Obs {
+            collector: Some(collector.clone()),
+            ..Obs::default()
+        };
         let (cluster, mut workers) =
-            TcpCluster::launch_with_collector(cfg, map, &init, &collector).expect("launch");
+            TcpCluster::launch_observed(cfg, map, &init, &obs).expect("launch");
         let mut w = workers.remove(0);
         let grads: HashMap<u64, Vec<f32>> = [(0u64, vec![1.0f32; 4])].into();
         let mut params = HashMap::new();
@@ -391,9 +308,12 @@ mod tests {
         };
         let mut service = CollectorService::bind("127.0.0.1:0".parse().unwrap(), 1 << 12)
             .expect("bind collector");
+        let obs = Obs {
+            stream_to: Some((service.local_addr(), 1 << 10)),
+            ..Obs::default()
+        };
         let (cluster, workers) =
-            TcpCluster::launch_collected(cfg, map, &init, service.local_addr(), 1 << 10)
-                .expect("launch");
+            TcpCluster::launch_observed(cfg, map, &init, &obs).expect("launch");
 
         let handles: Vec<_> = workers
             .into_iter()

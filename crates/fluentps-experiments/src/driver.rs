@@ -27,7 +27,7 @@ use fluentps_ml::optim::{Optimizer, Sgd};
 use fluentps_ml::schedule::LrSchedule;
 use fluentps_ml::ParamMap;
 use fluentps_obs::{
-    ClockSource, EventKind, RecordArgs, Trace, TraceCollector, Tracer, VirtualClock,
+    ClockSource, EventKind, RecordArgs, Trace, TraceCollector, TraceSource, Tracer, VirtualClock,
 };
 use fluentps_simnet::compute::{ComputeModel, StragglerSpec, WorkerCompute};
 use fluentps_simnet::event::EventQueue;
@@ -588,12 +588,15 @@ impl<'a> Simulation<'a> {
 
         let metrics = fluentps_obs::MetricsRegistry::new();
         let introspection = cfg.metrics_addr.map(|addr| {
-            let scope = metrics.scope().with("engine", "simulated");
-            scope.set_gauge("cluster_workers", cfg.num_workers as f64);
-            scope.set_gauge("cluster_servers", cfg.num_servers as f64);
-            scope.set_gauge("cluster_up", 1.0);
-            fluentps_obs::http::serve(addr, metrics.clone(), collector.clone())
-                .expect("bind introspection endpoint")
+            metrics.publish_cluster_shape("simulated", cfg.num_workers, cfg.num_servers);
+            fluentps_obs::http::serve_observed(
+                addr,
+                metrics.clone(),
+                collector.clone().map(TraceSource::Local),
+                None,
+                None,
+            )
+            .expect("bind introspection endpoint")
         });
 
         Simulation {

@@ -14,6 +14,7 @@ use fluentps_core::condition::SyncModel;
 use fluentps_core::dpr::DprPolicy;
 use fluentps_core::engine::EngineConfig;
 use fluentps_core::eps::{EpsSlicer, ParamSpec, Slicer};
+use fluentps_core::obs::Obs;
 use fluentps_core::recovery::{RecoveryConfig, ResilientTcpCluster};
 use fluentps_core::stats::ShardStats;
 use fluentps_core::worker::RetryPolicy;
@@ -122,17 +123,18 @@ pub fn run_live(cfg: &LiveConfig) -> LiveResult {
         .trace_events
         .or(cfg.metrics_addr.map(|_| 1 << 16))
         .map(TraceCollector::wall);
-    let builder = FluentPs::builder()
+    let (cluster, workers) = FluentPs::builder()
         .workers(cfg.num_workers)
         .servers(cfg.num_servers)
         .model(cfg.model)
         .policy(cfg.policy)
         .slicer(SlicerChoice::Eps { max_chunk: 4096 })
-        .seed(cfg.seed);
-    let (cluster, workers) = match &collector {
-        Some(col) => builder.launch_with_collector(&init, col),
-        None => builder.launch(&init),
-    };
+        .seed(cfg.seed)
+        .obs(Obs {
+            collector: collector.clone(),
+            ..Obs::default()
+        })
+        .launch(&init);
     // With an endpoint up, a health engine tails the run's collector so
     // `/slo` and `/alerts` are live next to `/metrics`.
     let health = match (&collector, cfg.metrics_addr) {
@@ -148,10 +150,7 @@ pub fn run_live(cfg: &LiveConfig) -> LiveResult {
     };
     let introspection = cfg.metrics_addr.map(|addr| {
         let registry = MetricsRegistry::new();
-        let scope = registry.scope().with("engine", "threaded");
-        scope.set_gauge("cluster_workers", cfg.num_workers as f64);
-        scope.set_gauge("cluster_servers", cfg.num_servers as f64);
-        scope.set_gauge("cluster_up", 1.0);
+        registry.publish_cluster_shape("threaded", cfg.num_workers, cfg.num_servers);
         fluentps_obs::http::serve_observed(
             addr,
             registry,
@@ -400,8 +399,6 @@ pub fn run_chaos(cfg: &ChaosConfig) -> ChaosResult {
         } else {
             FaultPlan::passthrough()
         },
-        collector_addr: cfg.collector_addr,
-        trace_ring_capacity: cfg.trace_ring_capacity,
         num_supervisors: cfg.num_supervisors,
         kill_supervisors: cfg.kill_supervisors.clone(),
         election_timeout: Duration::from_millis(200),
@@ -434,17 +431,18 @@ pub fn run_chaos(cfg: &ChaosConfig) -> ChaosResult {
     let consensus_registry = cfg.metrics_addr.map(|_| MetricsRegistry::new());
     rcfg.metrics = consensus_registry.clone();
 
-    let (cluster, workers) =
-        ResilientTcpCluster::launch(ecfg, rcfg, map, &init, local_collector.as_ref())
-            .expect("launch chaos cluster");
+    let obs = Obs {
+        collector: local_collector.clone(),
+        stream_to: cfg.collector_addr.map(|a| (a, cfg.trace_ring_capacity)),
+        profiler: None,
+    };
+    let (cluster, workers) = ResilientTcpCluster::launch_observed(ecfg, rcfg, map, &init, &obs)
+        .expect("launch chaos cluster");
     let introspection = cfg.metrics_addr.map(|addr| {
         let registry = consensus_registry
             .clone()
             .expect("registry with metrics_addr");
-        let scope = registry.scope().with("engine", "resilient-tcp");
-        scope.set_gauge("cluster_workers", cfg.num_workers as f64);
-        scope.set_gauge("cluster_servers", cfg.num_servers as f64);
-        scope.set_gauge("cluster_up", 1.0);
+        registry.publish_cluster_shape("resilient-tcp", cfg.num_workers, cfg.num_servers);
         fluentps_obs::http::serve_observed(
             addr,
             registry,

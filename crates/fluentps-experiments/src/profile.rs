@@ -1,8 +1,9 @@
 //! `repro profile`: a live TCP training run under the cooperative span
 //! profiler, reporting where the time (and the allocations) went.
 //!
-//! The run uses [`fluentps_core::tcp_engine::TcpCluster::launch_introspected`],
-//! so every layer the profiler instruments is exercised for real: server
+//! The run uses [`fluentps_core::tcp_engine::TcpCluster::launch_observed`]
+//! with a trace collector and a profiler, so every layer the profiler
+//! instruments is exercised for real: server
 //! loop phases (`server/apply_push`, `server/handle_pull`, `server/reply`),
 //! worker client phases (`worker/push`, `worker/pull_wait`) nested under the
 //! training step spans this module opens (`worker/step`, `worker/compute`),
@@ -12,17 +13,21 @@
 
 use std::collections::HashMap;
 use std::net::SocketAddr;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use fluentps_core::condition::SyncModel;
 use fluentps_core::engine::EngineConfig;
 use fluentps_core::eps::{EpsSlicer, ParamSpec, Slicer};
+use fluentps_core::obs::Obs;
 use fluentps_core::stats::ShardStats;
 use fluentps_core::tcp_engine::TcpCluster;
 use fluentps_ml::data::{synthetic, BatchSampler, SyntheticSpec};
 use fluentps_ml::models::{Model, SoftmaxRegression};
 use fluentps_ml::optim::{Optimizer, Sgd};
-use fluentps_obs::{MetricsRegistry, ProfileReport, TraceCollector};
+use fluentps_obs::{
+    http, HealthEngine, MetricsRegistry, ProfCollector, ProfileReport, StreamConfig,
+    TraceCollector, TraceSource,
+};
 
 /// Configuration of a profiled live TCP run.
 #[derive(Debug, Clone)]
@@ -106,19 +111,32 @@ pub fn run_profile(cfg: &ProfileConfig) -> ProfileResult {
         ..EngineConfig::default()
     };
     let collector = TraceCollector::wall(1 << 14);
+    let prof = ProfCollector::wall();
+    let obs = Obs {
+        collector: Some(collector.clone()),
+        profiler: Some(prof.clone()),
+        ..Obs::default()
+    };
+    let (cluster, workers) =
+        TcpCluster::launch_observed(ecfg, map, &init, &obs).expect("launch profiled TCP cluster");
+    // The endpoint serves `/metrics`, `/trace`, `/slo`, `/alerts` (from a
+    // health engine tailing the collector) and `/profile`.
     let registry = MetricsRegistry::new();
+    registry.publish_cluster_shape("tcp", cfg.num_workers, cfg.num_servers);
+    let engine = HealthEngine::with_default_rules(StreamConfig::default());
+    let tap = engine.attach_to(&collector, Duration::from_millis(20));
     let addr = cfg
         .metrics_addr
         .unwrap_or_else(|| "127.0.0.1:0".parse().expect("loopback"));
-    let (cluster, workers, introspection) =
-        TcpCluster::launch_introspected(ecfg, map, &init, &collector, &registry, addr)
-            .expect("launch profiled TCP cluster");
-    // Keep a handle past shutdown so the snapshot includes the servers'
-    // final spans.
-    let prof = cluster
-        .prof_collector()
-        .expect("introspected launch attaches a profiler")
-        .clone();
+    let introspection = http::serve_profiled(
+        addr,
+        registry,
+        Some(TraceSource::Local(collector)),
+        None,
+        Some(engine.clone()),
+        Some(prof.clone()),
+    )
+    .expect("bind introspection endpoint");
 
     let start = Instant::now();
     let model_ref = &model;
@@ -168,6 +186,8 @@ pub fn run_profile(cfg: &ProfileConfig) -> ProfileResult {
     for s in cluster.shutdown() {
         stats.merge(&s);
     }
+    tap.stop();
+    engine.finish();
     drop(introspection);
     ProfileResult {
         accuracy: model.accuracy(&results[0], &test),

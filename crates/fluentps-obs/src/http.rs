@@ -5,7 +5,7 @@
 //! Routes:
 //!
 //! * `GET /healthz` — readiness. With a [`HealthView`] attached
-//!   ([`serve_with_health`]) this reports per-node last-heartbeat ages and
+//!   ([`serve_observed`]) this reports per-node last-heartbeat ages and
 //!   the dead-node count as fed by the cluster's liveness monitor — `200`
 //!   while every node is alive, `503` once any node is declared dead.
 //!   Without one it degrades to the static `200 ok` liveness probe.
@@ -21,7 +21,7 @@
 //!   event kind (snake-case [`crate::EventKind`] names), `request=ID` to
 //!   events stamped with one causal request id; all apply before the tail
 //!   is taken and compose freely. The trace may be a single process's
-//!   [`TraceCollector`] or — via [`serve_source`] with
+//!   [`TraceCollector`] or — via [`serve_observed`] with
 //!   [`TraceSource::Cluster`] — the live merged timeline of a whole
 //!   cluster, in which case `/metrics` also exports per-node collection
 //!   counters (events received/dropped, clock offset, HLC bumps,
@@ -118,43 +118,17 @@ impl TraceSource {
     }
 }
 
-/// Serve `/metrics`, `/healthz` and `/trace` on `addr` until the returned
-/// handle is stopped or dropped. Pass `0` as the port to let the OS pick
-/// one — read it back from [`IntrospectionServer::local_addr`].
-pub fn serve(
-    addr: SocketAddr,
-    registry: MetricsRegistry,
-    collector: Option<TraceCollector>,
-) -> std::io::Result<IntrospectionServer> {
-    serve_with_health(addr, registry, collector, None)
-}
-
-/// [`serve`] plus a [`HealthView`]: `/healthz` becomes a readiness probe
-/// reflecting the cluster's liveness monitor instead of a static `ok`.
-pub fn serve_with_health(
-    addr: SocketAddr,
-    registry: MetricsRegistry,
-    collector: Option<TraceCollector>,
-    health: Option<HealthView>,
-) -> std::io::Result<IntrospectionServer> {
-    serve_source(addr, registry, collector.map(TraceSource::Local), health)
-}
-
-/// [`serve_with_health`] over any [`TraceSource`] — attach
-/// [`TraceSource::Cluster`] to serve a collector service's live merged
-/// cluster timeline instead of one process's rings.
-pub fn serve_source(
-    addr: SocketAddr,
-    registry: MetricsRegistry,
-    source: Option<TraceSource>,
-    health: Option<HealthView>,
-) -> std::io::Result<IntrospectionServer> {
-    serve_observed(addr, registry, source, health, None)
-}
-
-/// [`serve_source`] plus a streaming [`HealthEngine`]: `/slo` and
-/// `/alerts` go live, and the engine's gauges refresh into `/metrics` on
-/// every scrape.
+/// Serve `/metrics`, `/healthz`, `/trace` and `/waterfall` on `addr` until
+/// the returned handle is stopped or dropped. Pass `0` as the port to let
+/// the OS pick one — read it back from [`IntrospectionServer::local_addr`].
+///
+/// `source` is what `/trace` serves: one process's
+/// [`TraceSource::Local`] collector, or [`TraceSource::Cluster`] for a
+/// collector service's live merged cluster timeline. With a [`HealthView`],
+/// `/healthz` becomes a readiness probe reflecting the cluster's liveness
+/// monitor instead of a static `ok`. With a streaming [`HealthEngine`],
+/// `/slo` and `/alerts` go live, and the engine's gauges refresh into
+/// `/metrics` on every scrape.
 pub fn serve_observed(
     addr: SocketAddr,
     registry: MetricsRegistry,
@@ -649,10 +623,12 @@ mod tests {
             EventKind::PushApplied,
             RecordArgs::new().shard(0).worker(1).progress(3).v_train(2),
         );
-        let server = serve(
+        let server = serve_observed(
             "127.0.0.1:0".parse().expect("addr"),
             registry.clone(),
-            Some(collector),
+            Some(TraceSource::Local(collector)),
+            None,
+            None,
         )
         .expect("bind");
         let addr = server.local_addr();
@@ -681,11 +657,12 @@ mod tests {
     fn healthz_reflects_the_attached_health_view() {
         use crate::health::NodeHealth;
         let health = HealthView::new();
-        let server = serve_with_health(
+        let server = serve_observed(
             "127.0.0.1:0".parse().expect("addr"),
             MetricsRegistry::new(),
             None,
             Some(health.clone()),
+            None,
         )
         .expect("bind");
         let addr = server.local_addr();
@@ -728,10 +705,12 @@ mod tests {
         tracer.record(EventKind::PushApplied, RecordArgs::new().shard(0).worker(1));
         tracer.record(EventKind::PushApplied, RecordArgs::new().shard(0).worker(2));
         tracer.record(EventKind::VTrainAdvanced, RecordArgs::new().shard(3));
-        let server = serve(
+        let server = serve_observed(
             "127.0.0.1:0".parse().expect("addr"),
             MetricsRegistry::new(),
-            Some(collector),
+            Some(TraceSource::Local(collector)),
+            None,
+            None,
         )
         .expect("bind");
         let addr = server.local_addr();
@@ -768,10 +747,12 @@ mod tests {
             EventKind::PullRequested,
             RecordArgs::new().shard(0).worker(2),
         );
-        let server = serve(
+        let server = serve_observed(
             "127.0.0.1:0".parse().expect("addr"),
             MetricsRegistry::new(),
-            Some(collector),
+            Some(TraceSource::Local(collector)),
+            None,
+            None,
         )
         .expect("bind");
         let addr = server.local_addr();
@@ -828,10 +809,12 @@ mod tests {
 
     #[test]
     fn trace_route_filters_by_request_and_composes() {
-        let server = serve(
+        let server = serve_observed(
             "127.0.0.1:0".parse().expect("addr"),
             MetricsRegistry::new(),
-            Some(stamped_collector()),
+            Some(TraceSource::Local(stamped_collector())),
+            None,
+            None,
         )
         .expect("bind");
         let addr = server.local_addr();
@@ -865,10 +848,12 @@ mod tests {
     #[test]
     fn waterfall_route_serves_ndjson_with_balance_header() {
         let registry = MetricsRegistry::new();
-        let server = serve(
+        let server = serve_observed(
             "127.0.0.1:0".parse().expect("addr"),
             registry.clone(),
-            Some(stamped_collector()),
+            Some(TraceSource::Local(stamped_collector())),
+            None,
+            None,
         )
         .expect("bind");
         let addr = server.local_addr();
@@ -905,9 +890,11 @@ mod tests {
 
     #[test]
     fn waterfall_route_without_collector_is_404() {
-        let server = serve(
+        let server = serve_observed(
             "127.0.0.1:0".parse().expect("addr"),
             MetricsRegistry::new(),
+            None,
+            None,
             None,
         )
         .expect("bind");
@@ -960,9 +947,11 @@ mod tests {
 
     #[test]
     fn slo_and_alerts_without_engine_are_404() {
-        let server = serve(
+        let server = serve_observed(
             "127.0.0.1:0".parse().expect("addr"),
             MetricsRegistry::new(),
+            None,
+            None,
             None,
         )
         .expect("bind");
@@ -984,10 +973,11 @@ mod tests {
         };
         cluster.ingest("worker0", 0.0, 1, 1, 0, &[ev(1.0, 0)]);
         cluster.ingest("worker1", 0.5, 1, 2, 1, &[ev(2.0, 1)]);
-        let server = serve_source(
+        let server = serve_observed(
             "127.0.0.1:0".parse().expect("addr"),
             MetricsRegistry::new(),
             Some(TraceSource::Cluster(Arc::new(Mutex::new(cluster)))),
+            None,
             None,
         )
         .expect("bind");
@@ -1062,9 +1052,11 @@ mod tests {
 
     #[test]
     fn profile_route_without_collector_is_404() {
-        let server = serve(
+        let server = serve_observed(
             "127.0.0.1:0".parse().expect("addr"),
             MetricsRegistry::new(),
+            None,
+            None,
             None,
         )
         .expect("bind");
@@ -1075,9 +1067,11 @@ mod tests {
 
     #[test]
     fn trace_route_without_collector_is_404() {
-        let server = serve(
+        let server = serve_observed(
             "127.0.0.1:0".parse().expect("addr"),
             MetricsRegistry::new(),
+            None,
+            None,
             None,
         )
         .expect("bind");
@@ -1087,9 +1081,11 @@ mod tests {
 
     #[test]
     fn stop_joins_and_frees_the_port() {
-        let server = serve(
+        let server = serve_observed(
             "127.0.0.1:0".parse().expect("addr"),
             MetricsRegistry::new(),
+            None,
+            None,
             None,
         )
         .expect("bind");

@@ -82,6 +82,17 @@ impl MetricsRegistry {
             .or_insert_with(|| "constant 1, labeled with the fluentps version".to_string());
     }
 
+    /// Publish the static cluster-shape gauges (`cluster_workers`,
+    /// `cluster_servers`, `cluster_up`) under the label `engine=<engine>`,
+    /// so a bare `/metrics` scrape identifies what is running before any
+    /// traffic.
+    pub fn publish_cluster_shape(&self, engine: &str, workers: u32, servers: u32) {
+        let scope = self.scope().with("engine", engine);
+        scope.set_gauge("cluster_workers", workers as f64);
+        scope.set_gauge("cluster_servers", servers as f64);
+        scope.set_gauge("cluster_up", 1.0);
+    }
+
     /// A scope with no labels; add them with [`MetricsScope::with`].
     pub fn scope(&self) -> MetricsScope {
         MetricsScope {

@@ -256,21 +256,12 @@ pub struct TraceStreamer {
 impl TraceStreamer {
     /// Start streaming `collector`'s events to `addr`, identifying as
     /// `node`. The streamer owns its cursor: use one streamer per
-    /// `TraceCollector`.
+    /// `TraceCollector`. Each ring drain (poll, chunk, encode, coalesced
+    /// write) runs under a `streamer/drain` span of `profiler` on the
+    /// streamer thread, so a profile shows how much of the run the
+    /// observability plumbing itself cost (pass [`Profiler::disabled`] to
+    /// profile nothing).
     pub fn start(
-        node: NodeId,
-        collector: &TraceCollector,
-        addr: SocketAddr,
-        cfg: StreamerConfig,
-    ) -> TraceStreamer {
-        Self::start_profiled(node, collector, addr, cfg, Profiler::disabled())
-    }
-
-    /// [`TraceStreamer::start`] with span profiling: each ring drain (poll,
-    /// chunk, encode, coalesced write) runs under a `streamer/drain` span on
-    /// the streamer thread, so a profile shows how much of the run the
-    /// observability plumbing itself cost.
-    pub fn start_profiled(
         node: NodeId,
         collector: &TraceCollector,
         addr: SocketAddr,
@@ -513,6 +504,7 @@ mod tests {
                 poll_every: Duration::from_millis(5),
                 ..StreamerConfig::default()
             },
+            Profiler::disabled(),
         );
         for i in 0..200u64 {
             tracer.record(
@@ -561,6 +553,7 @@ mod tests {
                 poll_every: Duration::from_millis(200),
                 ..StreamerConfig::default()
             },
+            Profiler::disabled(),
         );
         let report = streamer.stop();
         assert!(report.connected);
@@ -584,12 +577,14 @@ mod tests {
             &col_a,
             service.local_addr(),
             StreamerConfig::default(),
+            Profiler::disabled(),
         );
         let sb = TraceStreamer::start(
             NodeId::Server(0),
             &col_b,
             service.local_addr(),
             StreamerConfig::default(),
+            Profiler::disabled(),
         );
         for i in 0..50u64 {
             ta.record(EventKind::WireSend, RecordArgs::new().worker(0).progress(i));
@@ -623,6 +618,7 @@ mod tests {
                 poll_every: Duration::from_millis(5),
                 ..StreamerConfig::default()
             },
+            Profiler::disabled(),
         );
         for i in 0..40u64 {
             tracer.record(
@@ -655,6 +651,7 @@ mod tests {
                 poll_every: Duration::from_millis(1),
                 ..StreamerConfig::default()
             },
+            Profiler::disabled(),
         );
         std::thread::sleep(Duration::from_millis(30));
         let report = streamer.stop();

@@ -124,27 +124,16 @@ impl TcpNode {
     /// Bind `node`'s listener on `addr` (use port 0 to let the OS choose; the
     /// actual address is available via [`TcpNode::local_addr`]).
     pub fn bind(node: NodeId, addr: SocketAddr, book: AddressBook) -> Result<Self, TransportError> {
-        Self::bind_traced(node, addr, book, Tracer::disabled())
+        Self::bind_profiled(node, addr, book, Tracer::disabled(), Profiler::disabled())
     }
 
-    /// [`TcpNode::bind`] with frame-level tracing: every frame written by
-    /// this node's postmen records a `wire_send` event and every frame
-    /// decoded off an accepted stream records a `wire_recv`, both carrying
-    /// the exact on-the-wire byte count.
-    pub fn bind_traced(
-        node: NodeId,
-        addr: SocketAddr,
-        book: AddressBook,
-        tracer: Tracer,
-    ) -> Result<Self, TransportError> {
-        Self::bind_profiled(node, addr, book, tracer, Profiler::disabled())
-    }
-
-    /// [`TcpNode::bind_traced`] with span profiling: every frame this
-    /// node's postmen encode runs under a `wire/encode` span and every
-    /// frame decoded off an accepted stream under `wire/decode` (the
-    /// blocking socket reads stay outside the spans — waiting is wire
-    /// latency, not decode cost).
+    /// [`TcpNode::bind`] with frame-level tracing and span profiling. Every
+    /// frame written by this node's postmen records a `wire_send` event and
+    /// every frame decoded off an accepted stream records a `wire_recv`,
+    /// both carrying the exact on-the-wire byte count. Encoding runs under
+    /// a `wire/encode` span and decoding under `wire/decode` (the blocking
+    /// socket reads stay outside the spans — waiting is wire latency, not
+    /// decode cost).
     pub fn bind_profiled(
         node: NodeId,
         addr: SocketAddr,
@@ -488,16 +477,23 @@ mod tests {
 
         let collector = TraceCollector::wall(1024);
         let book = AddressBook::new();
-        let server = TcpNode::bind_traced(
+        let server = TcpNode::bind_profiled(
             NodeId::Server(2),
             loopback(),
             book.clone(),
             collector.tracer(),
+            Profiler::disabled(),
         )
         .unwrap();
         book.insert(NodeId::Server(2), server.local_addr());
-        let worker =
-            TcpNode::bind_traced(NodeId::Worker(7), loopback(), book, collector.tracer()).unwrap();
+        let worker = TcpNode::bind_profiled(
+            NodeId::Worker(7),
+            loopback(),
+            book,
+            collector.tracer(),
+            Profiler::disabled(),
+        )
+        .unwrap();
 
         let msg = Message::SPull {
             worker: 7,

@@ -9,6 +9,12 @@ cargo fmt --check
 RUSTFLAGS="-D warnings" cargo build --release --offline --workspace --all-targets
 cargo test -q --offline --workspace
 
+# The live-training benchmark (livebench/) is a Cargo workspace of its own,
+# so the steps above never compile it. Build it and run its self-tests so a
+# core API change cannot break the benchmark unnoticed.
+cargo build --release --offline --manifest-path livebench/Cargo.toml
+cargo test -q --offline --manifest-path livebench/Cargo.toml
+
 # Golden-file check: the Chrome-trace exporter must emit byte-stable, valid
 # JSON for the fixture run (tests/golden/chrome_trace_fixture.json). Run
 # explicitly so a missing or stale golden file fails CI even if test

@@ -14,9 +14,13 @@ use std::time::{Duration, Instant};
 use fluentps::core::condition::SyncModel;
 use fluentps::core::engine::{Cluster, EngineConfig};
 use fluentps::core::eps::{EpsSlicer, ParamSpec, Slicer};
+use fluentps::core::obs::Obs;
 use fluentps::core::recovery::{RecoveryConfig, ResilientTcpCluster};
 use fluentps::core::worker::RetryPolicy;
-use fluentps::obs::{MetricsRegistry, TraceCollector};
+use fluentps::obs::http::{serve_observed, serve_profiled};
+use fluentps::obs::{
+    HealthEngine, MetricsRegistry, ProfCollector, StreamConfig, TraceCollector, TraceSource,
+};
 
 /// Minimal HTTP/1.1 GET over a fresh connection; returns (status line, body).
 fn http_get(addr: std::net::SocketAddr, path: &str) -> (String, String) {
@@ -74,13 +78,26 @@ fn threaded_engine_serves_metrics_and_healthz_while_training() {
         model: SyncModel::Ssp { s: 2 },
         ..EngineConfig::default()
     };
-    let (cluster, workers, server) = Cluster::launch_introspected(
-        cfg,
-        map,
-        &init,
-        &collector,
-        &registry,
+    let prof = ProfCollector::wall();
+    let obs = Obs {
+        collector: Some(collector.clone()),
+        profiler: Some(prof.clone()),
+        ..Obs::default()
+    };
+    let (cluster, workers) = Cluster::launch_observed(cfg, vec![cfg.model], map, &init, &obs);
+    // The caller keeps its handles and serves them: cluster-shape gauges,
+    // the collector's tail, a health engine fed from the collector, and
+    // the span profile.
+    registry.publish_cluster_shape("threaded", num_workers, 1);
+    let engine = HealthEngine::with_default_rules(StreamConfig::default());
+    let tap = engine.attach_to(&collector, Duration::from_millis(20));
+    let server = serve_profiled(
         "127.0.0.1:0".parse().unwrap(),
+        registry.clone(),
+        Some(TraceSource::Local(collector.clone())),
+        None,
+        Some(engine.clone()),
+        Some(prof),
     )
     .expect("bind introspection endpoint");
     let addr = server.local_addr();
@@ -133,7 +150,7 @@ fn threaded_engine_serves_metrics_and_healthz_while_training() {
     );
     assert!(text.contains("# TYPE trace_events_recorded gauge"));
     assert!(text.contains("introspection_scrapes_total"));
-    // The introspected launch seeds process-level metrics and HELP text.
+    // Serving a registry seeds process-level metrics and HELP text.
     assert!(
         text.contains("# HELP process_start_seconds "),
         "missing HELP for process_start_seconds in:\n{text}"
@@ -265,8 +282,8 @@ fn threaded_engine_serves_metrics_and_healthz_while_training() {
     let (status, body) = http_get(addr, "/waterfall?request=123456789");
     assert!(status.contains("404"), "unknown request: {status}\n{body}");
 
-    // The introspected launch wires a streaming health engine: `/slo`
-    // serves windowed SLO text and `/alerts` the transition log.
+    // The streaming health engine tailing the collector: `/slo` serves
+    // windowed SLO text and `/alerts` the transition log.
     let (status, slo) = http_get(addr, "/slo");
     assert!(status.contains("200"), "slo status: {status}");
     assert!(slo.contains("slo events "), "slo body:\n{slo}");
@@ -280,7 +297,7 @@ fn threaded_engine_serves_metrics_and_healthz_while_training() {
     );
     assert!(alerts.contains("\"state\""), "alerts body:\n{alerts}");
 
-    // The profiled launch also serves span profiles while training runs.
+    // The profiled run also serves span profiles while training runs.
     // Poll briefly: the scrape races the first worker push.
     let deadline = Instant::now() + Duration::from_secs(5);
     let folded = loop {
@@ -301,6 +318,8 @@ fn threaded_engine_serves_metrics_and_healthz_while_training() {
 
     drop(server);
     let stats = cluster.shutdown();
+    tap.stop();
+    engine.finish();
     assert_eq!(stats.len(), 1);
     assert_eq!(stats[0].pulls_total, num_workers as u64 * iters);
 }
@@ -356,11 +375,12 @@ fn resilient_engine_healthz_reflects_the_liveness_monitor() {
     };
     let (cluster, mut workers) =
         ResilientTcpCluster::launch(cfg, rcfg, map, &init, None).expect("launch");
-    let server = fluentps::obs::http::serve_with_health(
+    let server = serve_observed(
         "127.0.0.1:0".parse().unwrap(),
         MetricsRegistry::new(),
         None,
         Some(cluster.health()),
+        None,
     )
     .expect("bind introspection endpoint");
     let addr = server.local_addr();
@@ -428,11 +448,12 @@ fn resilient_engine_exports_consensus_gauges_and_healthz_consensus_line() {
     };
     let (cluster, mut workers) =
         ResilientTcpCluster::launch(cfg, rcfg, map, &init, None).expect("launch");
-    let server = fluentps::obs::http::serve_with_health(
+    let server = serve_observed(
         "127.0.0.1:0".parse().unwrap(),
         registry,
         None,
         Some(cluster.health()),
+        None,
     )
     .expect("bind introspection endpoint");
     let addr = server.local_addr();

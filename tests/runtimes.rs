@@ -1,6 +1,7 @@
 //! The three live runtimes run one server loop: the same job gives the same
-//! answer on each, a hostile frame cannot kill any of them, and shutdown
-//! ends even a server that cannot hear its `Shutdown` frame.
+//! answer on each, one observability bundle is honoured by each, a hostile
+//! frame cannot kill any of them, and shutdown ends even a server that
+//! cannot hear its `Shutdown` frame.
 
 use std::collections::HashMap;
 use std::time::{Duration, Instant};
@@ -8,11 +9,12 @@ use std::time::{Duration, Instant};
 use fluentps::core::condition::SyncModel;
 use fluentps::core::engine::{Cluster, EngineConfig};
 use fluentps::core::eps::{EpsSlicer, ParamSpec, SliceMap, Slicer};
+use fluentps::core::obs::Obs;
 use fluentps::core::recovery::{RecoveryConfig, ResilientTcpCluster};
 use fluentps::core::stats::ShardStats;
 use fluentps::core::tcp_engine::TcpCluster;
 use fluentps::core::worker::WorkerClient;
-use fluentps::obs::{EventKind, Trace, TraceCollector};
+use fluentps::obs::{EventKind, ProfCollector, Trace, TraceCollector};
 use fluentps::transport::tcp::{AddressBook, TcpNode};
 use fluentps::transport::{KvPairs, Mailbox, Message, NodeId, Postman};
 
@@ -125,6 +127,63 @@ fn runtimes_agree_bit_for_bit_on_a_bsp_job() {
     assert_eq!(logical(&inproc_stats), vec![(2 * ITERS, ITERS); 2]);
 }
 
+/// Launch one runtime on `bsp_job(2)` with `obs`, train and shut down.
+type ObservedRun = fn(&Obs);
+
+#[test]
+fn every_runtime_honours_one_obs_bundle() {
+    let runtimes: [(&str, ObservedRun); 3] = [
+        ("inproc", |obs| {
+            let (cfg, map, init) = bsp_job(2);
+            let models = vec![cfg.model; 2];
+            let (cluster, workers) = Cluster::launch_observed(cfg, models, map, &init, obs);
+            train(workers);
+            cluster.shutdown();
+        }),
+        ("tcp", |obs| {
+            let (cfg, map, init) = bsp_job(2);
+            let (cluster, workers) =
+                TcpCluster::launch_observed(cfg, map, &init, obs).expect("launch tcp");
+            train(workers);
+            cluster.shutdown();
+        }),
+        ("resilient", |obs| {
+            let (cfg, map, init) = bsp_job(2);
+            let (cluster, workers) =
+                ResilientTcpCluster::launch_observed(cfg, calm_recovery(), map, &init, obs)
+                    .expect("launch resilient");
+            train(workers);
+            cluster.shutdown();
+        }),
+    ];
+    for (runtime, run) in runtimes {
+        let collector = TraceCollector::wall(1 << 14);
+        let prof = ProfCollector::wall();
+        run(&Obs {
+            collector: Some(collector.clone()),
+            profiler: Some(prof.clone()),
+            ..Obs::default()
+        });
+        let trace = collector.snapshot();
+        for m in 0..2 {
+            for kind in [EventKind::PushApplied, EventKind::WireRecv] {
+                assert!(
+                    trace.events.iter().any(|e| e.kind == kind && e.shard == m),
+                    "{runtime}: no {kind:?} event from server {m}"
+                );
+            }
+        }
+        let spans = prof.snapshot().spans;
+        for span in ["server/apply_push", "worker/push"] {
+            assert!(
+                spans.contains_key(span),
+                "{runtime}: no {span} span in {:?}",
+                spans.keys().collect::<Vec<_>>()
+            );
+        }
+    }
+}
+
 /// Send each server one well-formed push and one pull for the keys it owns,
 /// from a worker id the cluster does not have, and wait until every server
 /// loop has received and traced them.
@@ -185,8 +244,12 @@ fn rogue_recvs(trace: &Trace) -> usize {
 fn tcp_cluster_ignores_an_out_of_range_worker_id() {
     let (cfg, map, init) = bsp_job(1);
     let collector = TraceCollector::wall(1 << 12);
+    let obs = Obs {
+        collector: Some(collector.clone()),
+        ..Obs::default()
+    };
     let (cluster, workers) =
-        TcpCluster::launch_with_collector(cfg, map.clone(), &init, &collector).expect("launch");
+        TcpCluster::launch_observed(cfg, map.clone(), &init, &obs).expect("launch");
     send_rogue_frames(&cluster.addresses, &map, &collector);
     let params = train(workers);
     let stats = cluster.shutdown();
