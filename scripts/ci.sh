@@ -21,6 +21,11 @@ cargo test -q --offline --manifest-path livebench/Cargo.toml
 # filtering changes.
 cargo test -q --offline --test observability chrome_trace_export_matches_golden_file
 
+# Golden-file check: the analyzer's report on the simulator demo trace
+# (tests/golden/analysis_report_fixture.md). Unstamped traces must analyze
+# byte-for-byte the same way unless the golden is deliberately re-blessed.
+cargo test -q --offline --test observability analysis_report_matches_golden_file
+
 # Smoke round-trip through the analytics engine: trace a demo run, analyze
 # the export, and require the report's straggler and staleness sections to
 # carry data. Uses the release binary the build step above produced.

@@ -1,19 +1,21 @@
 //! Observability invariants: tracing must be a pure observer (a traced run
 //! is bit-for-bit the run it observes), fixed seeds must reproduce traces,
-//! and the Chrome trace-event exporter's output is pinned by a golden file.
+//! and the Chrome trace-event exporter's output and the analyzer's report
+//! on the simulator demo trace are pinned by golden files.
 //!
-//! Regenerate the golden fixture after an intentional exporter change with
-//! `FLUENTPS_BLESS=1 cargo test --test observability`.
+//! Regenerate the golden fixtures after an intentional exporter or analyzer
+//! change with `FLUENTPS_BLESS=1 cargo test --test observability`.
 
 use std::sync::Arc;
 
 use fluentps::core::condition::SyncModel;
 use fluentps::core::dpr::DprPolicy;
 use fluentps::experiments::driver::{run, DriverConfig, EngineKind, ModelKind};
-use fluentps::experiments::report::trace_reconciles;
+use fluentps::experiments::report::{analysis_sections, trace_reconciles};
+use fluentps::experiments::tracerun;
 use fluentps::ml::data::SyntheticSpec;
 use fluentps::obs::{
-    export, json, ClockSource, EventKind, RecordArgs, TraceCollector, VirtualClock,
+    analyze, export, json, ClockSource, EventKind, RecordArgs, TraceCollector, VirtualClock,
 };
 
 fn traced_cfg() -> DriverConfig {
@@ -262,5 +264,33 @@ fn cluster_chrome_trace_export_matches_golden_file() {
     assert_eq!(
         got, want,
         "merged-cluster trace export changed; if intentional, re-bless with FLUENTPS_BLESS=1"
+    );
+}
+
+/// The analyzer's full report on the simulator demo trace, as markdown.
+/// The simulator stamps no causal ids, so this pins how unstamped traces
+/// analyze: per-worker wire time, gap split, shard health, critical path.
+#[test]
+fn analysis_report_matches_golden_file() {
+    let r = run(&tracerun::demo_config(false));
+    let a = analyze(r.trace.as_ref().expect("demo run traces"));
+    let got: String = analysis_sections(&a, None)
+        .iter()
+        .map(|t| t.to_markdown() + "\n")
+        .collect();
+
+    let path = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/tests/golden/analysis_report_fixture.md"
+    );
+    if std::env::var("FLUENTPS_BLESS").is_ok() {
+        std::fs::write(path, &got).expect("bless golden file");
+        return;
+    }
+    let want = std::fs::read_to_string(path)
+        .expect("golden file missing — run with FLUENTPS_BLESS=1 to create it");
+    assert_eq!(
+        got, want,
+        "analysis report changed; if intentional, re-bless with FLUENTPS_BLESS=1"
     );
 }
