@@ -5,6 +5,16 @@
 //! (empirical `Pr[blocked | gap=k]`, to be checked against the analytical
 //! PSSP curves upstream).
 //!
+//! [`analyze`] is a replay of the trace through a
+//! [`StreamAnalyzer`] with one all-run window (per-kind counts, span,
+//! per-worker breakdowns, staleness gaps — the same code the live
+//! [`crate::HealthEngine`] runs), plus three passes only a finished trace
+//! allows: per-shard sync health, the progress-spread timeline and the
+//! critical path. Wire receives pair with sends exactly by causal
+//! `(request_id, attempt)` when the trace carries ids, and FIFO per
+//! `(shard, worker)` stream when it does not; [`crate::stream`] spells out
+//! the wire and pull/deferral matching rules.
+//!
 //! All derivations consume the *buffered* events; per-kind totals that
 //! survive ring overwriting are reported alongside
 //! ([`Analysis::recorded`] vs [`Analysis::analyzed`]) so a truncated trace
@@ -19,6 +29,7 @@ use std::collections::{BTreeMap, HashMap};
 use crate::event::{EventKind, TraceEvent, KINDS, NO_ID};
 use crate::hist::Histogram;
 use crate::json;
+use crate::stream::{StreamAnalyzer, StreamConfig};
 use crate::tracer::Trace;
 
 /// How many sample points the progress-spread timeline carries.
@@ -43,7 +54,8 @@ pub struct WorkerBreakdown {
     /// Number of `BarrierWait` spans.
     pub barrier_count: u64,
     /// Seconds of matched `WireSend`→`WireRecv` latency involving this
-    /// worker (both directions; see [`analyze`] for the matching rule).
+    /// worker (both directions; see [`crate::stream`] for the matching
+    /// rule).
     pub wire_secs: f64,
     /// Total bytes on `WireSend` events naming this worker.
     pub bytes_sent: u64,
@@ -196,43 +208,6 @@ pub struct Analysis {
     /// Critical path through the longest pull→defer→release→push chain,
     /// in causal order (earliest cause first, the longest DPR wait last).
     pub critical_path: Vec<PathStep>,
-    /// Ground-truth audit of the FIFO wire matcher against exact causal
-    /// request ids, when the trace carries them (`None` on traces recorded
-    /// before context propagation, or with tracing contexts disabled).
-    pub wire_check: Option<WireCheck>,
-}
-
-/// Cross-check of the heuristic FIFO `WireSend`→`WireRecv` matcher against
-/// the exact causal ids the transport stamps on wire events.
-///
-/// The per-worker wire-time attribution in [`WorkerBreakdown`] predates
-/// causal context: it pairs each receive with the *oldest* unmatched send
-/// on the same `(shard, worker)` queue. With request ids on both ends the
-/// pairing can be audited exactly: on a chaos-free run FIFO order *is*
-/// transit order and every pair must agree; under reorder chaos the
-/// mismatch rate quantifies how much wire time the heuristic misattributes.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct WireCheck {
-    /// Receive events FIFO-paired with a send where both carried an id.
-    pub checked: u64,
-    /// Pairs where the FIFO match and the exact `(request_id, attempt)`
-    /// disagree — the heuristic attributed one request's transit to another.
-    pub mismatches: u64,
-    /// Receives with no unmatched send on their queue (the send was lost
-    /// to ring overwrite, or the frame was a fault-injected duplicate).
-    pub unmatched_recvs: u64,
-}
-
-impl WireCheck {
-    /// Fraction of audited pairs the FIFO heuristic got wrong (0 when
-    /// nothing was audited).
-    pub fn mismatch_rate(&self) -> f64 {
-        if self.checked == 0 {
-            0.0
-        } else {
-            self.mismatches as f64 / self.checked as f64
-        }
-    }
 }
 
 impl Analysis {
@@ -271,144 +246,28 @@ impl Analysis {
 }
 
 /// Key identifying one logical pull: shards answer at most one pull per
-/// `(shard, worker, progress)` triple, so defer/release pairs and
-/// granted/blocked outcomes all match on it.
+/// `(shard, worker, progress)` triple, so defer/release pairs match on it.
 type PullKey = (u32, u32, u64);
 
-/// Run every derivation over `trace` and return the combined [`Analysis`].
-///
-/// Wire time is attributed by FIFO-matching each `WireRecv` to the oldest
-/// unmatched `WireSend` with the same `(shard, worker)` pair; both engines
-/// and the simulator record sends before the matching receive, so the pair
-/// order is the transit order.
+/// Replay `trace` through an all-run [`StreamAnalyzer`] and add the batch
+/// passes, returning the combined [`Analysis`].
 pub fn analyze(trace: &Trace) -> Analysis {
-    let mut analysis = Analysis {
+    let mut stream = StreamAnalyzer::new(StreamConfig::all_run());
+    for ev in &trace.events {
+        stream.advance_to(ev.ts);
+        stream.ingest(ev);
+    }
+    Analysis {
         recorded: trace.counts,
+        analyzed: EventKind::ALL.map(|kind| stream.count(kind)),
         dropped: trace.dropped,
-        ..Analysis::default()
-    };
-    if let (Some(first), Some(last)) = (trace.events.first(), trace.events.last()) {
-        analysis.span = (first.ts, last.ts + last.dur.max(0.0));
+        span: stream.span(),
+        workers: stream.worker_breakdowns(),
+        shards: shard_healths(trace),
+        gaps: stream.gap_stats(),
+        spread: progress_spread(trace),
+        critical_path: critical_path(trace),
     }
-    for ev in &trace.events {
-        analysis.analyzed[ev.kind.index()] += 1;
-    }
-    let deferred_keys = collect_deferred_keys(trace);
-    analysis.workers = worker_breakdowns(trace);
-    analysis.shards = shard_healths(trace);
-    analysis.gaps = gap_stats(trace, &deferred_keys);
-    analysis.spread = progress_spread(trace);
-    analysis.critical_path = critical_path(trace);
-    analysis.wire_check = wire_check(trace);
-    analysis
-}
-
-/// Audit the FIFO wire matcher against exact causal ids: replay the exact
-/// matching [`worker_breakdowns`] performs (same event scope, same
-/// per-`(shard, worker)` FIFO queues) while carrying each send's
-/// `(request_id, attempt)` through the queue, and compare it with the id
-/// stamped on the receive that popped it. Returns `None` when no wire
-/// event carries a request id (context propagation off or absent).
-fn wire_check(trace: &Trace) -> Option<WireCheck> {
-    let mut stamped_wire = false;
-    let mut check = WireCheck::default();
-    let mut in_flight: HashMap<(u32, u32), std::collections::VecDeque<(u64, u32)>> = HashMap::new();
-    for ev in &trace.events {
-        if ev.worker == NO_ID {
-            continue;
-        }
-        match ev.kind {
-            EventKind::WireSend => {
-                stamped_wire |= ev.request_id != 0;
-                in_flight
-                    .entry((ev.shard, ev.worker))
-                    .or_default()
-                    .push_back((ev.request_id, ev.attempt));
-            }
-            EventKind::WireRecv => {
-                stamped_wire |= ev.request_id != 0;
-                match in_flight
-                    .get_mut(&(ev.shard, ev.worker))
-                    .and_then(|q| q.pop_front())
-                {
-                    Some((rid, attempt)) => {
-                        if rid != 0 && ev.request_id != 0 {
-                            check.checked += 1;
-                            if (rid, attempt) != (ev.request_id, ev.attempt) {
-                                check.mismatches += 1;
-                            }
-                        }
-                    }
-                    None => check.unmatched_recvs += 1,
-                }
-            }
-            _ => {}
-        }
-    }
-    stamped_wire.then_some(check)
-}
-
-/// Every `(shard, worker, progress)` that was deferred.
-fn collect_deferred_keys(trace: &Trace) -> HashMap<PullKey, u64> {
-    let mut keys: HashMap<PullKey, u64> = HashMap::new();
-    for ev in &trace.events {
-        if ev.kind == EventKind::PullDeferred {
-            *keys.entry((ev.shard, ev.worker, ev.progress)).or_insert(0) += 1;
-        }
-    }
-    keys
-}
-
-fn worker_breakdowns(trace: &Trace) -> Vec<WorkerBreakdown> {
-    let mut workers: BTreeMap<u32, WorkerBreakdown> = BTreeMap::new();
-    // FIFO queues of unmatched WireSend timestamps per (shard, worker).
-    let mut in_flight: HashMap<(u32, u32), std::collections::VecDeque<f64>> = HashMap::new();
-    for ev in &trace.events {
-        if ev.worker == NO_ID {
-            continue;
-        }
-        let w = workers.entry(ev.worker).or_insert(WorkerBreakdown {
-            worker: ev.worker,
-            iterations: 0,
-            first_ts: ev.ts,
-            last_ts: ev.ts,
-            barrier_secs: 0.0,
-            barrier_count: 0,
-            wire_secs: 0.0,
-            bytes_sent: 0,
-            bytes_recvd: 0,
-            pulls: 0,
-            deferred: 0,
-        });
-        w.first_ts = w.first_ts.min(ev.ts);
-        w.last_ts = w.last_ts.max(ev.ts + ev.dur);
-        w.iterations = w.iterations.max(ev.progress + 1);
-        match ev.kind {
-            EventKind::BarrierWait => {
-                w.barrier_secs += ev.dur;
-                w.barrier_count += 1;
-            }
-            EventKind::WireSend => {
-                w.bytes_sent += ev.bytes;
-                in_flight
-                    .entry((ev.shard, ev.worker))
-                    .or_default()
-                    .push_back(ev.ts);
-            }
-            EventKind::WireRecv => {
-                w.bytes_recvd += ev.bytes;
-                if let Some(queue) = in_flight.get_mut(&(ev.shard, ev.worker)) {
-                    if let Some(sent) = queue.pop_front() {
-                        w.wire_secs += (ev.ts - sent).max(0.0);
-                    }
-                }
-            }
-            EventKind::PullRequested => w.pulls += 1,
-            EventKind::PullDeferred => w.deferred += 1,
-            _ => {}
-        }
-    }
-    workers.into_values().collect()
 }
 
 fn shard_healths(trace: &Trace) -> Vec<ShardHealth> {
@@ -475,34 +334,6 @@ fn shard_healths(trace: &Trace) -> Vec<ShardHealth> {
         }
     }
     shards.into_values().collect()
-}
-
-fn gap_stats(trace: &Trace, deferred_keys: &HashMap<PullKey, u64>) -> Vec<GapStat> {
-    let mut per_gap: BTreeMap<u64, GapStat> = BTreeMap::new();
-    let mut blocked_left: HashMap<PullKey, u64> = deferred_keys.clone();
-    for ev in &trace.events {
-        if ev.kind != EventKind::PullRequested {
-            continue;
-        }
-        let gap = ev.progress.saturating_sub(ev.v_train);
-        let stat = per_gap.entry(gap).or_insert(GapStat {
-            gap,
-            pulls: 0,
-            deferred: 0,
-        });
-        stat.pulls += 1;
-        // A request whose (shard, worker, progress) was deferred counts as
-        // blocked at this gap; consume one deferral so retried progress
-        // values (which cannot happen today, but cost nothing to handle)
-        // stay balanced.
-        if let Some(n) = blocked_left.get_mut(&(ev.shard, ev.worker, ev.progress)) {
-            if *n > 0 {
-                *n -= 1;
-                stat.deferred += 1;
-            }
-        }
-    }
-    per_gap.into_values().collect()
 }
 
 fn progress_spread(trace: &Trace) -> Vec<SpreadPoint> {
@@ -715,12 +546,12 @@ fn parse_event(line: &str) -> Result<TraceEvent, String> {
             }
             "shard" => ev.shard = parse_id(value)?,
             "worker" => ev.worker = parse_id(value)?,
-            "progress" => ev.progress = parse_u64(value)?,
-            "v_train" => ev.v_train = parse_u64(value)?,
-            "bytes" => ev.bytes = parse_u64(value)?,
-            "seq" => ev.seq = parse_u64(value)?,
-            "request_id" => ev.request_id = parse_u64(value)?,
-            "attempt" => ev.attempt = parse_u64(value)? as u32,
+            "progress" => ev.progress = parse_int(value)?,
+            "v_train" => ev.v_train = parse_int(value)?,
+            "bytes" => ev.bytes = parse_int(value)?,
+            "seq" => ev.seq = parse_int(value)?,
+            "request_id" => ev.request_id = parse_int(value)?,
+            "attempt" => ev.attempt = parse_int(value)?,
             "parent_span" => ev.parent_span = parse_id(value)?,
             other => return Err(format!("unknown field {other:?}")),
         }
@@ -735,7 +566,7 @@ fn parse_f64(s: &str) -> Result<f64, String> {
     s.parse().map_err(|_| format!("bad number {s:?}"))
 }
 
-fn parse_u64(s: &str) -> Result<u64, String> {
+fn parse_int<T: std::str::FromStr>(s: &str) -> Result<T, String> {
     s.parse().map_err(|_| format!("bad integer {s:?}"))
 }
 
@@ -894,6 +725,9 @@ mod tests {
         assert!(parse_jsonl("not json").is_err());
         assert!(parse_jsonl("{\"ts\":0}").is_err(), "missing kind");
         assert!(parse_jsonl("{\"kind\":\"no_such_kind\"}").is_err());
+        let err = parse_jsonl("{\"kind\":\"wire_send\",\"attempt\":4294967296}")
+            .expect_err("attempt overflows u32");
+        assert!(err.contains("bad integer"), "{err}");
     }
 
     #[test]
@@ -910,62 +744,63 @@ mod tests {
         assert_eq!(a.dropped, 46);
     }
 
-    /// A stamped wire pair on one `(shard, worker)` queue.
-    fn wire_pair(t: &crate::tracer::Tracer, clock: &VirtualClock, base: f64, rid: u64) {
-        clock.set(base);
-        t.record(
-            EventKind::WireSend,
-            at(0, 0, 0, 0).bytes(58).request_id(rid),
-        );
-        clock.set(base + 0.01);
-        t.record(
-            EventKind::WireRecv,
-            at(0, 0, 0, 0).bytes(58).request_id(rid),
-        );
-    }
-
+    /// Chaos-free but interleaved traffic on one `(shard, worker)` stream:
+    /// the push ack and the pull request cross on the wire, so the
+    /// worker's two receives come back in the opposite order from which
+    /// their replies' sends were queued behind the requests.
     #[test]
-    fn wire_check_is_absent_without_causal_context() {
-        assert_eq!(analyze(&sample()).wire_check, None);
-    }
-
-    #[test]
-    fn wire_check_confirms_fifo_on_ordered_streams() {
+    fn wire_pairs_match_by_causal_id_on_interleaved_streams() {
         let clock = VirtualClock::new();
-        let col = TraceCollector::new(ClockSource::virtual_clock(Arc::clone(&clock)), 256);
+        let col = TraceCollector::new(ClockSource::virtual_clock(Arc::clone(&clock)), 64);
         let t = col.tracer();
-        for i in 0..5u64 {
-            wire_pair(&t, &clock, 1.0 + i as f64, 100 + i);
+        let wire = |ts: f64, kind: EventKind, rid: u64| {
+            clock.set(ts);
+            t.record(kind, at(0, 1, 0, 0).bytes(58).request_id(rid));
+        };
+        let (push_a, pull_b) = (11, 12);
+        wire(1.0, EventKind::WireSend, push_a); // worker sends push A
+        wire(1.1, EventKind::WireRecv, push_a); // server receives A
+        wire(1.2, EventKind::WireSend, push_a); // server sends ack A
+        wire(1.3, EventKind::WireSend, pull_b); // worker sends pull B
+        wire(1.4, EventKind::WireRecv, pull_b); // server receives B
+        wire(1.5, EventKind::WireSend, pull_b); // server sends response B
+        wire(1.6, EventKind::WireRecv, push_a); // worker receives ack A
+        wire(1.7, EventKind::WireRecv, pull_b); // worker receives response B
+        let trace = col.snapshot();
+        let mut s = StreamAnalyzer::new(StreamConfig::all_run());
+        for ev in &trace.events {
+            s.advance_to(ev.ts);
+            s.ingest(ev);
         }
-        let check = analyze(&col.snapshot()).wire_check.expect("ids present");
-        assert_eq!(check.checked, 5);
-        assert_eq!(check.mismatches, 0);
-        assert_eq!(check.unmatched_recvs, 0);
-        assert_eq!(check.mismatch_rate(), 0.0);
+        // Exact pairs: 0.1 + 0.1 + 0.4 (ack A, 1.2→1.6) + 0.2 (response B,
+        // 1.5→1.7). FIFO per stream would pair B's server receive with ack
+        // A's send (1.2→1.4) and ack A's receive with pull B's send
+        // (1.3→1.6), capping the max at 0.3.
+        let hist = s.wire_hist(0, 1).expect("shard 0 saw wire pairs");
+        assert_eq!(hist.count(), 4);
+        assert_eq!(hist.max(), 400_000);
+        let w = &analyze(&trace).workers[0];
+        assert!((w.wire_secs - 0.8).abs() < 1e-9, "{}", w.wire_secs);
     }
 
     #[test]
-    fn wire_check_counts_reorder_mismatches_without_panicking() {
+    fn unmatched_and_duplicate_receives_pair_with_nothing() {
         let clock = VirtualClock::new();
-        let col = TraceCollector::new(ClockSource::virtual_clock(Arc::clone(&clock)), 256);
+        let col = TraceCollector::new(ClockSource::virtual_clock(Arc::clone(&clock)), 64);
         let t = col.tracer();
-        // Two sends, replies arrive swapped: FIFO pairs each recv with the
-        // wrong send, so both audited pairs mismatch.
         clock.set(1.0);
-        t.record(EventKind::WireSend, at(0, 0, 0, 0).bytes(58).request_id(7));
+        t.record(EventKind::WireSend, at(0, 0, 0, 0).request_id(7));
         clock.set(1.1);
-        t.record(EventKind::WireSend, at(0, 0, 1, 0).bytes(58).request_id(8));
+        t.record(EventKind::WireRecv, at(0, 0, 0, 0).request_id(7));
+        // A duplicated frame: its send was already consumed.
         clock.set(1.2);
-        t.record(EventKind::WireRecv, at(0, 0, 1, 0).bytes(58).request_id(8));
+        t.record(EventKind::WireRecv, at(0, 0, 0, 0).request_id(7));
+        // A retry is a different attempt and pairs only with its own send.
         clock.set(1.3);
-        t.record(EventKind::WireRecv, at(0, 0, 0, 0).bytes(58).request_id(7));
-        // A duplicate delivery pops an empty queue.
+        t.record(EventKind::WireSend, at(0, 0, 0, 0).request_id(8));
         clock.set(1.4);
-        t.record(EventKind::WireRecv, at(0, 0, 0, 0).bytes(58).request_id(7));
-        let check = analyze(&col.snapshot()).wire_check.expect("ids present");
-        assert_eq!(check.checked, 2);
-        assert_eq!(check.mismatches, 2);
-        assert_eq!(check.unmatched_recvs, 1);
-        assert!((check.mismatch_rate() - 1.0).abs() < 1e-9);
+        t.record(EventKind::WireRecv, at(0, 0, 0, 0).request_id(8).attempt(1));
+        let w = &analyze(&col.snapshot()).workers[0];
+        assert!((w.wire_secs - 0.1).abs() < 1e-9, "{}", w.wire_secs);
     }
 }

@@ -7,10 +7,11 @@
 //! [`TraceCollector`] by a [`HealthTap`], or replayed from JSONL — and
 //! maintains:
 //!
-//! * the exact all-run state the batch analyzer would compute (per-worker
-//!   breakdowns, staleness-gap distribution with blocked/granted split),
-//!   so replaying a trace with one all-run window reproduces
-//!   [`crate::analyze`]'s figures *exactly* (tested below), and
+//! * all-run state: per-kind counts, the span, per-worker breakdowns and
+//!   the staleness-gap distribution with its blocked/granted split. The
+//!   batch [`crate::analyze`] *is* a replay with one all-run window plus
+//!   the passes only a finished trace allows, so the live and batch
+//!   figures cannot drift apart, and
 //! * tumbling windows of tail latency: per-shard wire and DPR-residence
 //!   histograms, barrier-wait spans, staleness at pull, per-worker progress
 //!   rates and straggler spread — kept in [`WindowedHistogram`] rings so a
@@ -25,7 +26,21 @@
 //! window that is current when it is ingested, so a late (clock-skewed)
 //! event counts in the present rather than corrupting closed history.
 //! `window_secs = ∞` ([`StreamConfig::all_run`]) keeps one never-closing
-//! window: the batch-parity mode.
+//! window: the mode [`crate::analyze`] replays in.
+//!
+//! ## Matching
+//!
+//! Wire time pairs each `WireRecv` with the oldest unmatched `WireSend` on
+//! the same `(shard, worker)` stream that carries the receive's own
+//! `(request_id, attempt)`. Stamped traces (causal context on) therefore
+//! pair exactly, even when frames are reordered or duplicated; on unstamped
+//! traces every id is 0 and the rule is plain FIFO per stream. A receive
+//! with no matching send pairs with nothing.
+//!
+//! A `PullDeferred` is attributed to the staleness gap of its shard's last
+//! `PullRequested` when that request has the same `(worker, progress)`: a
+//! shard records the deferral right after the request it defers, on the
+//! same tracer, so one slot per shard is all the matcher keeps.
 //!
 //! [`HealthEngine`] bundles a [`StreamAnalyzer`] with an
 //! [`AlertEngine`](crate::alert::AlertEngine) behind a shared handle that
@@ -153,7 +168,8 @@ impl WindowedHistogram {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StreamConfig {
     /// Tumbling window length in seconds on the trace clock.
-    /// `f64::INFINITY` keeps one all-run window (batch-parity mode).
+    /// `f64::INFINITY` keeps one all-run window (what [`crate::analyze`]
+    /// replays in).
     pub window_secs: f64,
     /// How many windows each [`WindowedHistogram`] ring retains (≥ 1).
     pub windows: usize,
@@ -169,8 +185,8 @@ impl Default for StreamConfig {
 }
 
 impl StreamConfig {
-    /// One never-closing window covering the whole run: replaying a trace
-    /// in this mode reproduces the batch analyzer's figures exactly.
+    /// One never-closing window covering the whole run: [`crate::analyze`]
+    /// replays every trace in this mode.
     pub fn all_run() -> StreamConfig {
         StreamConfig {
             window_secs: f64::INFINITY,
@@ -217,17 +233,8 @@ impl WindowStats {
     }
 }
 
-/// FIFO matcher pairing `PullRequested` gaps with `PullDeferred` events
-/// per pull key, in either arrival order. Marks exactly the first
-/// `min(requests, defers)` requests — the same set the batch analyzer's
-/// pre-collected deferral pool consumes.
-#[derive(Debug, Default)]
-struct DeferMatch {
-    /// `PullDeferred` events seen before their request.
-    unmatched: u64,
-    /// Gaps of requests awaiting a deferral, oldest first.
-    pending: VecDeque<u64>,
-}
+/// An unmatched `WireSend`: `(ts, request_id, attempt)`.
+type Sent = (f64, u64, u32);
 
 /// Incremental analyzer: feed events in timestamp order via
 /// [`StreamAnalyzer::advance_to`] + [`StreamAnalyzer::ingest`].
@@ -239,14 +246,16 @@ pub struct StreamAnalyzer {
     /// Index of the currently-open window.
     current: u64,
 
-    // ---- exact all-run state (batch parity) ----
+    // ---- all-run state (what `analyze` reports) ----
     analyzed: [u64; KINDS],
     total: u64,
     span: (f64, f64),
     workers: BTreeMap<u32, WorkerBreakdown>,
-    in_flight: HashMap<(u32, u32), VecDeque<f64>>,
+    /// Unmatched sends per `(shard, worker)`, oldest first.
+    in_flight: HashMap<(u32, u32), VecDeque<Sent>>,
     gaps: BTreeMap<u64, GapStat>,
-    defers: HashMap<(u32, u32, u64), DeferMatch>,
+    /// Each shard's last `PullRequested`: `(worker, progress, gap)`.
+    last_pull: HashMap<u32, (u32, u64, u64)>,
     pending_dprs: HashMap<(u32, u32, u64), f64>,
 
     // ---- windowed state ----
@@ -258,7 +267,6 @@ pub struct StreamAnalyzer {
     win_pulls: u64,
     win_deferred: u64,
     win_max_gap: u64,
-    progress_now: BTreeMap<u32, u64>,
     progress_at_close: BTreeMap<u32, u64>,
     rates: BTreeMap<u32, f64>,
     closed: VecDeque<WindowStats>,
@@ -284,7 +292,7 @@ impl StreamAnalyzer {
             workers: BTreeMap::new(),
             in_flight: HashMap::new(),
             gaps: BTreeMap::new(),
-            defers: HashMap::new(),
+            last_pull: HashMap::new(),
             pending_dprs: HashMap::new(),
             shard_wire_us: BTreeMap::new(),
             shard_dpr_us: BTreeMap::new(),
@@ -294,7 +302,6 @@ impl StreamAnalyzer {
             win_pulls: 0,
             win_deferred: 0,
             win_max_gap: 0,
-            progress_now: BTreeMap::new(),
             progress_at_close: BTreeMap::new(),
             rates: BTreeMap::new(),
             closed: VecDeque::new(),
@@ -346,13 +353,6 @@ impl StreamAnalyzer {
         self.span.1 = ev.ts + ev.dur.max(0.0);
         self.win_events += 1;
 
-        if ev.worker != NO_ID {
-            let p = self.progress_now.entry(ev.worker).or_insert(0);
-            *p = (*p).max(ev.progress);
-        }
-
-        // Per-worker breakdown: mirrors `analyze::worker_breakdowns`
-        // field by field so an all-run replay matches it exactly.
         let mut wire_latency: Option<f64> = None;
         if ev.worker != NO_ID {
             let w = self.workers.entry(ev.worker).or_insert(WorkerBreakdown {
@@ -381,12 +381,14 @@ impl StreamAnalyzer {
                     self.in_flight
                         .entry((ev.shard, ev.worker))
                         .or_default()
-                        .push_back(ev.ts);
+                        .push_back((ev.ts, ev.request_id, ev.attempt));
                 }
                 EventKind::WireRecv => {
                     w.bytes_recvd += ev.bytes;
                     if let Some(queue) = self.in_flight.get_mut(&(ev.shard, ev.worker)) {
-                        if let Some(sent) = queue.pop_front() {
+                        let id = (ev.request_id, ev.attempt);
+                        if let Some(i) = queue.iter().position(|&(_, r, a)| (r, a) == id) {
+                            let (sent, _, _) = queue.remove(i).expect("position is in range");
                             let lat = (ev.ts - sent).max(0.0);
                             w.wire_secs += lat;
                             wire_latency = Some(lat);
@@ -399,10 +401,7 @@ impl StreamAnalyzer {
             }
         }
 
-        // Staleness-gap distribution with the blocked/granted split. The
-        // batch analyzer pre-collects every deferral, then marks the first
-        // min(requests, defers) requests per pull key; the FIFO matcher
-        // reproduces that set without lookahead.
+        // Staleness-gap distribution with the blocked/granted split.
         match ev.kind {
             EventKind::PullRequested => {
                 let gap = ev.progress.saturating_sub(ev.v_train);
@@ -415,29 +414,19 @@ impl StreamAnalyzer {
                 self.win_pulls += 1;
                 self.win_max_gap = self.win_max_gap.max(gap);
                 self.gap_hist.record(cur, gap);
-                let dm = self
-                    .defers
-                    .entry((ev.shard, ev.worker, ev.progress))
-                    .or_default();
-                if dm.unmatched > 0 {
-                    dm.unmatched -= 1;
-                    stat.deferred += 1;
-                } else {
-                    dm.pending.push_back(gap);
-                }
+                self.last_pull
+                    .insert(ev.shard, (ev.worker, ev.progress, gap));
             }
             EventKind::PullDeferred => {
                 self.win_deferred += 1;
-                let dm = self
-                    .defers
-                    .entry((ev.shard, ev.worker, ev.progress))
-                    .or_default();
-                if let Some(gap) = dm.pending.pop_front() {
-                    if let Some(stat) = self.gaps.get_mut(&gap) {
-                        stat.deferred += 1;
+                // A deferral directly follows the request it defers, so an
+                // older slot can no longer match and is dropped either way.
+                if let Some((worker, progress, gap)) = self.last_pull.remove(&ev.shard) {
+                    if (worker, progress) == (ev.worker, ev.progress) {
+                        if let Some(stat) = self.gaps.get_mut(&gap) {
+                            stat.deferred += 1;
+                        }
                     }
-                } else {
-                    dm.unmatched += 1;
                 }
                 if ev.shard != NO_ID {
                     self.pending_dprs
@@ -492,8 +481,9 @@ impl StreamAnalyzer {
         } else {
             epoch
         };
-        for (&w, &p) in &self.progress_now {
-            let prev = self.progress_at_close.get(&w).copied().unwrap_or(0);
+        for (&w, b) in &self.workers {
+            let p = b.iterations - 1;
+            let prev = self.progress_at_close.insert(w, p).unwrap_or(0);
             let rate = if self.cfg.window_secs.is_finite() && self.cfg.window_secs > 0.0 {
                 (p.saturating_sub(prev)) as f64 / self.cfg.window_secs
             } else {
@@ -501,7 +491,6 @@ impl StreamAnalyzer {
             };
             self.rates.insert(w, rate);
         }
-        self.progress_at_close = self.progress_now.clone();
         let stats = WindowStats {
             index: idx,
             start_ts,
@@ -542,13 +531,13 @@ impl StreamAnalyzer {
     }
 
     /// Per-worker breakdown over everything ingested, sorted by worker id
-    /// — identical to [`crate::analyze`]'s on the same events.
+    /// (what [`crate::analyze`] reports for a whole trace).
     pub fn worker_breakdowns(&self) -> Vec<WorkerBreakdown> {
         self.workers.values().cloned().collect()
     }
 
     /// Pull outcomes per staleness gap over everything ingested, sorted by
-    /// gap — identical to [`crate::analyze`]'s on the same events.
+    /// gap (what [`crate::analyze`] reports for a whole trace).
     pub fn gap_stats(&self) -> Vec<GapStat> {
         self.gaps.values().copied().collect()
     }
@@ -591,9 +580,8 @@ impl StreamAnalyzer {
 
     /// Fastest-minus-slowest worker progress right now.
     pub fn spread(&self) -> u64 {
-        let min = self.progress_now.values().min().copied().unwrap_or(0);
-        let max = self.progress_now.values().max().copied().unwrap_or(0);
-        max - min
+        let iters = || self.workers.values().map(|w| w.iterations);
+        iters().max().unwrap_or(0) - iters().min().unwrap_or(0)
     }
 
     /// Collector drop fraction (`dropped / emitted`; 0 when unknown).
@@ -925,7 +913,6 @@ impl Drop for HealthTap {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::analyze::analyze;
     use crate::clock::{ClockSource, VirtualClock};
     use crate::tracer::{RecordArgs, TraceCollector};
     use std::sync::Arc;
@@ -986,24 +973,29 @@ mod tests {
     }
 
     #[test]
-    fn all_run_replay_matches_batch_analyzer_exactly() {
+    fn all_run_replay_reports_hand_derived_busy_trace_figures() {
         let trace = busy_trace();
-        let batch = analyze(&trace);
         let mut s = StreamAnalyzer::new(StreamConfig::all_run());
         for ev in &trace.events {
             s.advance_to(ev.ts);
             s.ingest(ev);
         }
-        assert_eq!(s.worker_breakdowns(), batch.workers, "worker parity");
-        assert_eq!(s.gap_stats(), batch.gaps, "staleness-gap parity");
-        assert_eq!(s.span(), batch.span, "span parity");
+        let workers = s.worker_breakdowns();
+        assert_eq!(
+            workers
+                .iter()
+                .map(|w| (w.worker, w.iterations))
+                .collect::<Vec<_>>(),
+            vec![(0, 20), (1, 20), (2, 20)]
+        );
+        // Every iteration pulls once per worker; i % 3 == 0 defers
+        // (i ∈ {0, 3, .., 18}: 7 iterations × 3 workers).
+        let gaps = s.gap_stats();
+        assert_eq!(gaps.iter().map(|g| g.pulls).sum::<u64>(), 60);
+        assert_eq!(gaps.iter().map(|g| g.deferred).sum::<u64>(), 21);
+        assert!(workers.iter().all(|w| (w.pulls, w.deferred) == (20, 7)));
         for kind in EventKind::ALL {
-            assert_eq!(
-                s.count(kind),
-                batch.analyzed[kind.index()],
-                "count parity for {}",
-                kind.name()
-            );
+            assert_eq!(s.count(kind), trace.count(kind), "{}", kind.name());
         }
         // All-run mode never closes a window until finish().
         assert_eq!(s.windows_closed(), 0);
@@ -1013,29 +1005,30 @@ mod tests {
     }
 
     #[test]
-    fn parity_holds_when_defer_precedes_request_in_merge_order() {
-        // A collector merge can interleave a shard's PullDeferred before
-        // the worker's PullRequested for the same key; the batch analyzer
-        // is order-insensitive here and streaming must be too.
-        let clock = VirtualClock::new();
-        let col = TraceCollector::new(ClockSource::virtual_clock(Arc::clone(&clock)), 64);
-        let t = col.tracer();
-        clock.set(1.0);
-        t.record(EventKind::PullDeferred, at(0, 1, 4, 1));
-        clock.set(1.1);
-        t.record(EventKind::PullRequested, at(0, 1, 4, 1));
-        clock.set(1.2);
-        t.record(EventKind::PullRequested, at(0, 0, 2, 2));
-        let trace = col.snapshot();
-        let batch = analyze(&trace);
-        let mut s = StreamAnalyzer::new(StreamConfig::all_run());
-        for ev in &trace.events {
+    fn pull_matcher_state_stays_per_shard() {
+        let mut s = StreamAnalyzer::new(StreamConfig::default());
+        for i in 0..100_000u64 {
+            let ev = TraceEvent {
+                ts: i as f64 * 1e-4,
+                kind: EventKind::PullRequested,
+                shard: (i % 2) as u32,
+                worker: (i % 5) as u32,
+                progress: i,
+                v_train: i,
+                ..Default::default()
+            };
             s.advance_to(ev.ts);
-            s.ingest(ev);
+            s.ingest(&ev);
         }
-        assert_eq!(s.gap_stats(), batch.gaps);
-        let g3 = s.gap_stats();
-        assert_eq!(g3.iter().map(|g| g.deferred).sum::<u64>(), 1);
+        assert!(s.last_pull.len() <= 2, "{} entries", s.last_pull.len());
+        assert_eq!(
+            s.gap_stats(),
+            vec![GapStat {
+                gap: 0,
+                pulls: 100_000,
+                deferred: 0
+            }]
+        );
     }
 
     #[test]

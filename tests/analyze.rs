@@ -1,7 +1,10 @@
 //! Cross-crate tests for the trace-analytics engine: counting invariants
 //! under ring overwriting, the SSP staleness bound as *observed by the
 //! analyzer*, and the empirical PSSP block-rate curve against the
-//! analytical `Pr[blocked | gap=k]` from `fluentps_core::pssp`.
+//! analytical `Pr[blocked | gap=k]` from `fluentps_core::pssp`, and exact
+//! wire pairing by causal id on a chaos run.
+
+use std::collections::{BTreeMap, HashMap, VecDeque};
 
 use fluentps::core::condition::SyncModel;
 use fluentps::core::dpr::DprPolicy;
@@ -10,7 +13,9 @@ use fluentps::core::server::{GradScale, ServerShard, ShardConfig};
 use fluentps::experiments::driver::EngineKind;
 use fluentps::experiments::tracerun;
 use fluentps::obs::analyze::analyze;
-use fluentps::obs::{EventKind, RecordArgs, TraceCollector};
+use fluentps::obs::{
+    EventKind, Histogram, RecordArgs, StreamAnalyzer, StreamConfig, TraceCollector, NO_ID,
+};
 use fluentps::transport::KvPairs;
 use fluentps_util::proptest::prelude::*;
 
@@ -85,7 +90,8 @@ proptest! {
                 next_iter[w as usize] += 1;
             }
         }
-        let a = analyze(&collector.snapshot());
+        let trace = collector.snapshot();
+        let a = analyze(&trace);
         if let Some(max) = a.max_granted_staleness() {
             prop_assert!(max < s, "granted a pull at staleness {max} under SSP s={s}");
         }
@@ -93,6 +99,9 @@ proptest! {
         for g in &a.gaps {
             prop_assert_eq!(g.pulls, g.granted() + g.deferred);
         }
+        // The pull matcher attributes every deferral the shard recorded.
+        let deferred: u64 = a.gaps.iter().map(|g| g.deferred).sum();
+        prop_assert_eq!(deferred, trace.count(EventKind::PullDeferred));
     }
 }
 
@@ -145,14 +154,15 @@ fn pssp_empirical_block_rate_matches_analytical() {
     );
 }
 
-/// Ground-truth mode for the wire matcher: run a real TCP cluster under
-/// reorder/duplicate chaos with causal ids on the wire, then replay the
-/// analyzer's FIFO pairing heuristic against the exact `(request_id,
-/// attempt)` ids. The cross-check *reports* a mismatch rate instead of
-/// panicking — reordering legitimately breaks FIFO pairing — and its
-/// counters must stay internally consistent.
+/// Wire pairing on a real TCP cluster under reorder/duplicate chaos, with
+/// causal ids on the wire: the analyzer's per-shard wire histograms must
+/// equal the ones built here by pairing each receive with the oldest
+/// unmatched send carrying the same `(shard, worker, request_id,
+/// attempt)`. FIFO pairing per stream disagrees with the ids even without
+/// chaos (a push ack and the next pull cross on the wire), so this pins the
+/// exact rule rather than a heuristic.
 #[test]
-fn wire_check_reports_fifo_mismatch_rate_under_reorder_chaos() {
+fn wire_pairs_match_causal_ids_under_reorder_chaos() {
     use fluentps::experiments::live::{run_chaos, ChaosConfig};
     let r = run_chaos(&ChaosConfig {
         num_workers: 1,
@@ -164,18 +174,35 @@ fn wire_check_reports_fifo_mismatch_rate_under_reorder_chaos() {
         ..ChaosConfig::default()
     });
     let trace = r.trace.expect("keep_trace returns the collector snapshot");
-    let a = analyze(&trace);
-    let check = a
-        .wire_check
-        .expect("causal ids were stamped on the wire, so the audit runs");
-    assert!(check.checked > 0, "no wire pairs audited: {check:?}");
+
+    let mut sends: HashMap<(u32, u32, u64, u32), VecDeque<f64>> = HashMap::new();
+    let mut want: BTreeMap<u32, Histogram> = BTreeMap::new();
+    for ev in trace.events.iter().filter(|e| e.worker != NO_ID) {
+        let key = (ev.shard, ev.worker, ev.request_id, ev.attempt);
+        match ev.kind {
+            EventKind::WireSend => sends.entry(key).or_default().push_back(ev.ts),
+            EventKind::WireRecv => {
+                assert_ne!(ev.request_id, 0, "chaos runs stamp every wire event");
+                if let Some(sent) = sends.get_mut(&key).and_then(|q| q.pop_front()) {
+                    let lat = (ev.ts - sent).max(0.0);
+                    want.entry(ev.shard).or_default().record((lat * 1e6) as u64);
+                }
+            }
+            _ => {}
+        }
+    }
     assert!(
-        check.mismatches <= check.checked,
-        "mismatches exceed audited pairs: {check:?}"
+        want.values().map(Histogram::count).sum::<u64>() > 0,
+        "no wire pairs in the chaos trace"
     );
-    let rate = check.mismatch_rate();
-    assert!(
-        (0.0..=1.0).contains(&rate),
-        "mismatch rate out of range: {rate}"
-    );
+
+    let mut s = StreamAnalyzer::new(StreamConfig::all_run());
+    for ev in &trace.events {
+        s.advance_to(ev.ts);
+        s.ingest(ev);
+    }
+    assert_eq!(s.wire_shards(), want.keys().copied().collect::<Vec<_>>());
+    for (&shard, hist) in &want {
+        assert_eq!(s.wire_hist(shard, 1).as_ref(), Some(hist), "shard {shard}");
+    }
 }
